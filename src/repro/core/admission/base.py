@@ -22,7 +22,10 @@ class AdmissionPolicy(Protocol):
 
         ``now`` is virtual time; window-based policies use it to age their
         state.  Implementations may mutate internal state (access counters)
-        on every call.
+        on every call; one that never does says so with the class attribute
+        ``stateless = True``, which is what lets a caller ask it twice
+        about one access (``LocalCacheManager.read_resident``, then the
+        ``read`` it falls back to).
         """
         ...
 
@@ -30,12 +33,16 @@ class AdmissionPolicy(Protocol):
 class AdmitAll:
     """Cache everything (the baseline the paper's strategies improve on)."""
 
+    stateless = True
+
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         return True
 
 
 class AdmitNone:
     """Cache nothing; turns the cache into a pass-through (for ablations)."""
+
+    stateless = True
 
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         return False

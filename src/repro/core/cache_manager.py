@@ -294,8 +294,9 @@ class LocalCacheManager:
         remote fallback path."""
         try:
             with self._stripe(page_id):
-                data = self._store_get(
-                    page_id, info.directory, in_page, take
+                data = self.page_store.get(
+                    page_id, info.directory, in_page, take,
+                    timeout=self.config.read_timeout,
                 )
         except CacheReadTimeoutError as exc:
             # Section 8 "file read hanging": fall back to remote storage,
@@ -334,18 +335,6 @@ class LocalCacheManager:
         result.bytes_from_cache += len(data)
         return data
 
-    def _store_get(
-        self, page_id: PageId, directory: int, in_page: int, take: int
-    ) -> bytes:
-        store = self.page_store
-        try:
-            return store.get(
-                page_id, directory, in_page, take, timeout=self.config.read_timeout
-            )
-        except TypeError:
-            # Stores without timeout support (memory/local-file).
-            return store.get(page_id, directory, in_page, take)
-
     def _read_through(
         self,
         page_id: PageId,
@@ -369,6 +358,87 @@ class LocalCacheManager:
         self.metrics.counter("bytes_read_remote").inc(len(remote.data))
         self.put_page(page_id, remote.data, scope=scope, ttl=ttl, pre_admitted=True)
         return remote.data[in_page : in_page + take]
+
+    def read_resident(
+        self,
+        file_id: str,
+        offset: int,
+        length: int,
+        *,
+        scope: CacheScope | None = None,
+    ) -> CacheReadResult | None:
+        """:meth:`read` for callers that must not block (an event loop).
+
+        Answers only when every page of the range is in the metastore *and*
+        the page store declares ``nonblocking_reads`` (a class-level fact;
+        a store that says nothing is treated as blocking).  It has no path
+        to a ``DataSource``: a resident page shorter than the page size is
+        the file's last page (the invariant of :meth:`_read_through`), so
+        its stored size gives the end-of-file truncation ``read`` takes
+        from ``file_length``.  The only waits are the metadata lock and the
+        page stripes, which over such a store guard dict updates.
+
+        Two phases.  The first collects every page's bytes and changes
+        nothing; on any absence, store error or admission refusal the
+        answer is ``None`` and the caller falls back to :meth:`read` with
+        nothing counted twice.  Only then does the second apply what
+        ``read`` applies per hit (``touch``, ``on_access``, ``get_hits``,
+        ``bytes_read_cache``, ``read_latency_seconds``).  Admission is
+        asked only when the policy declares ``stateless``: any other may
+        count the access, and the fallback would make it count twice.
+        """
+        store = self.page_store
+        if not (
+            getattr(type(store), "nonblocking_reads", False)
+            and getattr(type(self.admission), "stateless", False)
+        ):
+            return None
+        page_size = self.config.page_size
+        timeout = self.config.read_timeout
+        infos: list[PageInfo] = []
+        chunks: list[bytes] = []
+        # not pages_for_range: `length` is the caller's, not yet cut to the
+        # file (it may be 4 GiB), so walk lazily and stop at the first gap
+        position, end = offset, offset + length
+        while position < end:
+            index = position // page_size
+            in_page = position - index * page_size
+            page_id = PageId(file_id, index)
+            info = self.metastore.get(page_id)
+            if info is None:
+                return None
+            take = min(info.size - in_page, end - position)
+            if take <= 0:
+                return None  # starts at or past end-of-file: `read` knows
+            try:
+                with self._stripe(page_id):
+                    data = store.get(
+                        page_id, info.directory, in_page, take, timeout=timeout
+                    )
+            except (PageNotFoundError, PageCorruptedError, CacheReadTimeoutError):
+                return None  # `read` repeats it and does the repair
+            infos.append(info)
+            chunks.append(data)
+            if info.size < page_size:
+                break  # the short page is the last one; the rest is past EOF
+            position += take
+        now = self.clock.now()
+        if not infos or not self.admission.admit(
+            file_id, scope if scope is not None else CacheScope.global_scope(), now
+        ):
+            return None
+        with self._meta_lock:
+            for info in infos:
+                info.touch(now)
+                self._policies[info.directory].on_access(info.page_id)
+        data = b"".join(chunks)
+        self.metrics.counter("get_hits").inc(len(infos))
+        self.metrics.counter("bytes_read_cache").inc(len(data))
+        # a store whose reads do not block models no latency either
+        self.metrics.histogram("read_latency_seconds").observe(0.0)
+        return CacheReadResult(
+            data=data, page_hits=len(infos), bytes_from_cache=len(data)
+        )
 
     def prefetch_file(
         self,

@@ -25,7 +25,7 @@ import-purity test.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Literal, Mapping, overload
 
 from repro.core.cache_manager import CacheReadResult, LocalCacheManager
 from repro.core.config import CacheConfig
@@ -98,6 +98,19 @@ class CacheEngine:
 
     # ------------------------------------------------------------- data plane
 
+    @overload
+    def get(
+        self, file_id: str, offset: int, length: int, *,
+        scope: CacheScope | None = ..., ttl: float | None = ...,
+        source: DataSource | None = ..., resident_only: Literal[False] = ...,
+    ) -> CacheReadResult: ...
+
+    @overload
+    def get(
+        self, file_id: str, offset: int, length: int, *,
+        scope: CacheScope | None = ..., resident_only: Literal[True],
+    ) -> CacheReadResult | None: ...
+
     def get(
         self,
         file_id: str,
@@ -107,8 +120,20 @@ class CacheEngine:
         scope: CacheScope | None = None,
         ttl: float | None = None,
         source: DataSource | None = None,
-    ) -> CacheReadResult:
-        """Positional read, read-through on miss.  See ``LocalCacheManager.read``."""
+        resident_only: bool = False,
+    ) -> CacheReadResult | None:
+        """Positional read, read-through on miss.  See ``LocalCacheManager.read``.
+
+        With ``resident_only=True`` this is the non-blocking read of
+        ``LocalCacheManager.read_resident``: the same result and counters
+        when the whole range can be served from memory without touching
+        the source, else ``None`` with nothing counted -- call again
+        without the flag, from a thread that may block.  It is a mode of
+        ``get`` rather than a second verb so that whatever observes ``get``
+        (metrics, an external tracer) sees these reads as well.
+        """
+        if resident_only:
+            return self.manager.read_resident(file_id, offset, length, scope=scope)
         src = source if source is not None else self.source
         if src is None:
             raise ValueError(

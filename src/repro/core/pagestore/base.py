@@ -29,6 +29,11 @@ class PageStore(Protocol):
       store's timeout budget,
     - :class:`~repro.errors.NoSpaceLeftError` when the device is full even
       though the configured capacity is not reached (Section 8).
+
+    A store whose ``get`` never waits on a device, a file or a timer says
+    so with the class attribute ``nonblocking_reads = True``;
+    :meth:`LocalCacheManager.read_resident` serves only from such stores,
+    and a store that says nothing is treated as blocking.
     """
 
     def put(self, page_id: PageId, data: bytes, directory: int) -> None:
@@ -36,9 +41,11 @@ class PageStore(Protocol):
         ...
 
     def get(self, page_id: PageId, directory: int,
-            offset: int = 0, length: int | None = None) -> bytes:
+            offset: int = 0, length: int | None = None,
+            *, timeout: float | None = None) -> bytes:
         """Read ``length`` bytes at ``offset`` within a page (whole page by
-        default)."""
+        default).  ``timeout`` is the caller's read budget in seconds; a
+        store that cannot stall ignores it."""
         ...
 
     def delete(self, page_id: PageId, directory: int) -> bool:

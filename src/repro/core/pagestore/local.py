@@ -116,6 +116,7 @@ class LocalFilePageStore:
     def get(
         self, page_id: PageId, directory: int,
         offset: int = 0, length: int | None = None,
+        *, timeout: float | None = None,
     ) -> bytes:
         path = self._page_path(page_id, directory)
         if not path.exists():

@@ -13,6 +13,9 @@ class MemoryPageStore:
     exercise the ENOSPC early-eviction path without touching a real disk.
     """
 
+    #: ``get`` is a dict lookup and a slice: safe to call on an event loop
+    nonblocking_reads = True
+
     def __init__(self, physical_limit_bytes: int | None = None) -> None:
         if physical_limit_bytes is not None and physical_limit_bytes <= 0:
             raise ValueError(
@@ -40,6 +43,7 @@ class MemoryPageStore:
     def get(
         self, page_id: PageId, directory: int,
         offset: int = 0, length: int | None = None,
+        *, timeout: float | None = None,
     ) -> bytes:
         try:
             data = self._pages[(directory, page_id)]

@@ -12,9 +12,11 @@ match responses arriving in any order.  Errors are first-class frames
 (:class:`ErrorCode` + UTF-8 message) rather than closed sockets, so a
 client can distinguish "page not found" from "server going away".
 
-The codec here is pure bytes-in/bytes-out -- no sockets, no asyncio --
-so both the server, the client, and the protocol tests share one
-implementation and the doctest below can show a full round trip:
+The codec and :class:`FrameDecoder` are pure bytes-in/bytes-out -- no
+sockets, no event loop (:func:`read_frame`, the streams helper the client
+uses, is the one exception) -- so the server, the client, and the protocol
+tests share one implementation and the doctest below can show a full round
+trip:
 
 >>> frame = encode_request(GetRequest("f", 0, 4096), request_id=7)
 >>> rid, req = decode_request(frame[4:])
@@ -24,13 +26,23 @@ implementation and the doctest below can show a full round trip:
 
 from __future__ import annotations
 
+import asyncio
 import enum
 import struct
 from dataclasses import dataclass
 
 MAX_FRAME = 16 * 1024 * 1024  # refuse absurd frames before allocating
 _HEADER = struct.Struct(">BQ")   # opcode, request id
-_LEN = struct.Struct(">I")
+_PREFIX = struct.Struct(">IBQ")  # payload length + header, packed in one go
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_LEN = _U32                      # the frame length prefix
+_U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+_GET_REQUEST = struct.Struct(">QI")    # offset, length
+_PUT_REQUEST = struct.Struct(">II")    # page index, data length
+_GET_RESPONSE = struct.Struct(">BIII")  # fully cached, hits, misses, data length
 
 _RESPONSE_BIT = 0x80
 _ERROR_OPCODE = 0xFF
@@ -157,7 +169,7 @@ def _pack_str(value: str) -> bytes:
     raw = value.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ProtocolError(f"string field too long ({len(raw)} bytes)")
-    return struct.pack(">H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 class _Cursor:
@@ -169,36 +181,41 @@ class _Cursor:
         self.buf = buf
         self.pos = pos
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
+    def _advance(self, count: int) -> int:
+        start, end = self.pos, self.pos + count
         if end > len(self.buf):
             raise ProtocolError(
-                f"truncated frame: wanted {count} bytes at {self.pos}, "
+                f"truncated frame: wanted {count} bytes at {start}, "
                 f"have {len(self.buf)}"
             )
-        chunk = self.buf[self.pos:end]
         self.pos = end
-        return chunk
+        return start
+
+    def take(self, count: int) -> bytes:
+        start = self._advance(count)
+        return self.buf[start:self.pos]
+
+    def unpack(self, fields: struct.Struct) -> tuple:
+        """Fixed-width fields, read in place (no intermediate slice)."""
+        return fields.unpack_from(self.buf, self._advance(fields.size))
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return self.unpack(_U64)[0]
 
     def i64(self) -> int:
-        return struct.unpack(">q", self.take(8))[0]
+        return self.unpack(_I64)[0]
 
     def string(self) -> str:
-        (n,) = struct.unpack(">H", self.take(2))
-        return self.take(n).decode("utf-8")
+        return self.take(self.unpack(_U16)[0]).decode("utf-8")
 
     def blob(self) -> bytes:
-        n = self.u32()
-        return self.take(n)
+        return self.take(self.u32())
 
     def done(self) -> None:
         if self.pos != len(self.buf):
@@ -207,11 +224,15 @@ class _Cursor:
             )
 
 
-def _frame(opcode: int, request_id: int, body: bytes) -> bytes:
-    payload_len = _HEADER.size + len(body)
+def _frame(opcode: int, request_id: int, head: bytes = b"", bulk: bytes = b"") -> bytes:
+    """One frame: the small fixed fields in ``head``, a page or a read's
+    data in ``bulk``, which is copied once (by the join) on its way to the
+    socket."""
+    payload_len = _HEADER.size + len(head) + len(bulk)
     if payload_len > MAX_FRAME:
         raise ProtocolError(f"frame too large ({payload_len} bytes)")
-    return _LEN.pack(payload_len) + _HEADER.pack(opcode, request_id) + body
+    prefix = _PREFIX.pack(payload_len, opcode, request_id)
+    return b"".join((prefix, head, bulk)) if bulk else prefix + head
 
 
 # ----------------------------------------------------------------- encode
@@ -220,25 +241,23 @@ def _frame(opcode: int, request_id: int, body: bytes) -> bytes:
 def encode_request(request: Request, *, request_id: int) -> bytes:
     """Serialize one request into a full frame (length prefix included)."""
     if isinstance(request, GetRequest):
-        body = _pack_str(request.file_id) + struct.pack(
-            ">QI", request.offset, request.length
+        head = _pack_str(request.file_id) + _GET_REQUEST.pack(
+            request.offset, request.length
         )
-        return _frame(Opcode.GET, request_id, body)
+        return _frame(Opcode.GET, request_id, head)
     if isinstance(request, PutRequest):
-        body = (
-            _pack_str(request.file_id)
-            + struct.pack(">II", request.page_index, len(request.data))
-            + request.data
+        head = _pack_str(request.file_id) + _PUT_REQUEST.pack(
+            request.page_index, len(request.data)
         )
-        return _frame(Opcode.PUT, request_id, body)
+        return _frame(Opcode.PUT, request_id, head, request.data)
     if isinstance(request, EvictRequest):
         index = -1 if request.page_index is None else request.page_index
-        body = _pack_str(request.file_id) + struct.pack(">q", index)
-        return _frame(Opcode.EVICT, request_id, body)
+        head = _pack_str(request.file_id) + _I64.pack(index)
+        return _frame(Opcode.EVICT, request_id, head)
     if isinstance(request, StatsRequest):
-        return _frame(Opcode.STATS, request_id, struct.pack(">B", request.fmt))
+        return _frame(Opcode.STATS, request_id, _U8.pack(request.fmt))
     if isinstance(request, HealthRequest):
-        return _frame(Opcode.HEALTH, request_id, b"")
+        return _frame(Opcode.HEALTH, request_id)
     if isinstance(request, LengthRequest):
         return _frame(Opcode.LENGTH, request_id, _pack_str(request.file_id))
     raise ProtocolError(f"unknown request type {type(request).__name__}")
@@ -252,38 +271,28 @@ def encode_response(
     ``opcode`` is required only for success responses whose type does not
     determine it (it always does today); errors ignore it.
     """
-    if isinstance(response, ErrorResponse):
-        body = struct.pack(">H", int(response.code)) + _pack_str(
-            response.message
-        )
-        return _frame(_ERROR_OPCODE, request_id, body)
     if isinstance(response, GetResponse):
-        body = (
-            struct.pack(
-                ">BII",
-                1 if response.fully_cached else 0,
-                response.page_hits,
-                response.page_misses,
-            )
-            + struct.pack(">I", len(response.data))
-            + response.data
+        head = _GET_RESPONSE.pack(
+            bool(response.fully_cached), response.page_hits,
+            response.page_misses, len(response.data),
         )
-        return _frame(Opcode.GET | _RESPONSE_BIT, request_id, body)
+        return _frame(Opcode.GET | _RESPONSE_BIT, request_id, head, response.data)
+    if isinstance(response, ErrorResponse):
+        head = _U16.pack(int(response.code)) + _pack_str(response.message)
+        return _frame(_ERROR_OPCODE, request_id, head)
     if isinstance(response, PutResponse):
-        body = struct.pack(">B", 1 if response.admitted else 0)
-        return _frame(Opcode.PUT | _RESPONSE_BIT, request_id, body)
+        head = _U8.pack(bool(response.admitted))
+        return _frame(Opcode.PUT | _RESPONSE_BIT, request_id, head)
     if isinstance(response, EvictResponse):
-        body = struct.pack(">I", response.removed)
-        return _frame(Opcode.EVICT | _RESPONSE_BIT, request_id, body)
-    if isinstance(response, StatsResponse):
-        body = struct.pack(">I", len(response.payload)) + response.payload
-        return _frame(Opcode.STATS | _RESPONSE_BIT, request_id, body)
-    if isinstance(response, HealthResponse):
-        body = struct.pack(">I", len(response.payload)) + response.payload
-        return _frame(Opcode.HEALTH | _RESPONSE_BIT, request_id, body)
+        head = _U32.pack(response.removed)
+        return _frame(Opcode.EVICT | _RESPONSE_BIT, request_id, head)
+    if isinstance(response, (StatsResponse, HealthResponse)):
+        op = Opcode.STATS if isinstance(response, StatsResponse) else Opcode.HEALTH
+        head = _U32.pack(len(response.payload))
+        return _frame(op | _RESPONSE_BIT, request_id, head, response.payload)
     if isinstance(response, LengthResponse):
-        body = struct.pack(">Q", response.length)
-        return _frame(Opcode.LENGTH | _RESPONSE_BIT, request_id, body)
+        head = _U64.pack(response.length)
+        return _frame(Opcode.LENGTH | _RESPONSE_BIT, request_id, head)
     raise ProtocolError(f"unknown response type {type(response).__name__}")
 
 
@@ -293,19 +302,17 @@ def encode_response(
 def decode_request(payload: bytes) -> tuple[int, Request]:
     """Parse one request payload (frame minus length prefix)."""
     cur = _Cursor(payload)
-    opcode = cur.u8()
-    request_id = cur.u64()
+    opcode, request_id = cur.unpack(_HEADER)
     try:
         op = Opcode(opcode)
     except ValueError:
         raise ProtocolError(f"unknown request opcode 0x{opcode:02x}") from None
     if op is Opcode.GET:
         file_id = cur.string()
-        offset, length = struct.unpack(">QI", cur.take(12))
-        request: Request = GetRequest(file_id, offset, length)
+        request: Request = GetRequest(file_id, *cur.unpack(_GET_REQUEST))
     elif op is Opcode.PUT:
         file_id = cur.string()
-        page_index, data_len = struct.unpack(">II", cur.take(8))
+        page_index, data_len = cur.unpack(_PUT_REQUEST)
         request = PutRequest(file_id, page_index, cur.take(data_len))
     elif op is Opcode.EVICT:
         file_id = cur.string()
@@ -324,10 +331,9 @@ def decode_request(payload: bytes) -> tuple[int, Request]:
 def decode_response(payload: bytes) -> tuple[int, Response]:
     """Parse one response payload (frame minus length prefix)."""
     cur = _Cursor(payload)
-    opcode = cur.u8()
-    request_id = cur.u64()
+    opcode, request_id = cur.unpack(_HEADER)
     if opcode == _ERROR_OPCODE:
-        (code,) = struct.unpack(">H", cur.take(2))
+        (code,) = cur.unpack(_U16)
         message = cur.string()
         cur.done()
         return request_id, ErrorResponse(ErrorCode(code), message)
@@ -338,8 +344,10 @@ def decode_response(payload: bytes) -> tuple[int, Response]:
     except ValueError:
         raise ProtocolError(f"unknown response opcode 0x{opcode:02x}") from None
     if op is Opcode.GET:
-        fully_cached, hits, misses = struct.unpack(">BII", cur.take(9))
-        response: Response = GetResponse(cur.blob(), bool(fully_cached), hits, misses)
+        fully_cached, hits, misses, data_len = cur.unpack(_GET_RESPONSE)
+        response: Response = GetResponse(
+            cur.take(data_len), bool(fully_cached), hits, misses
+        )
     elif op is Opcode.PUT:
         response = PutResponse(bool(cur.u8()))
     elif op is Opcode.EVICT:
@@ -369,14 +377,57 @@ def read_frame_length(prefix: bytes) -> int:
     return payload_len
 
 
-async def read_frame(reader) -> bytes | None:
+class FrameDecoder:
+    """Sans-IO frame splitter: ``feed`` whatever the socket delivered,
+    then take payloads out with ``next_frame`` until it returns ``None``.
+
+    Bytes are appended to one buffer and each payload is copied out of it
+    once, so a large frame that trickles in costs its size, not its size
+    times the number of chunks.
+    """
+
+    __slots__ = ("_buf", "_pos")
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._pos = 0
+
+    def feed(self, data: bytes) -> None:
+        if self._pos:
+            # drop what next_frame already handed out (front deletion of a
+            # bytearray does not move the tail)
+            del self._buf[:self._pos]
+            self._pos = 0
+        self._buf += data
+
+    @property
+    def pending(self) -> int:
+        """Buffered bytes not yet returned: non-zero at EOF is a torn frame."""
+        return len(self._buf) - self._pos
+
+    def next_frame(self) -> bytes | None:
+        """The next complete payload, or ``None`` until more bytes arrive.
+
+        Raises :class:`ProtocolError` on a bad length prefix; the stream
+        cannot be resynchronised after that, so every later call raises too.
+        """
+        start = self._pos + _LEN.size
+        if len(self._buf) < start:
+            return None
+        end = start + read_frame_length(self._buf[self._pos:start])
+        if len(self._buf) < end:
+            return None
+        self._pos = end
+        with memoryview(self._buf) as view:
+            return bytes(view[start:end])
+
+
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
     """Read one frame payload from an ``asyncio.StreamReader``.
 
     Returns ``None`` on clean EOF at a frame boundary; raises
     :class:`ProtocolError` on a torn or oversized frame.
     """
-    import asyncio
-
     try:
         prefix = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:

@@ -2,14 +2,20 @@
 
 Design (DESIGN.md §14):
 
-- **One engine, many workers.**  The engine is thread-safe (striped page
-  locks), so request handlers run on a small thread pool via
-  ``run_in_executor`` while the event loop stays free for IO.
-- **Per-connection backpressure.**  Each connection admits at most
-  ``max_inflight`` concurrent requests; the frame-read loop *stops
-  reading* while the window is full, so overload propagates to the
-  client's socket buffer instead of growing server queues (the same
-  admission-control stance as the simulated coordinator).
+- **Hits on the loop, everything else on the pool.**  Each connection is
+  an ``asyncio.Protocol`` feeding a sans-IO ``FrameDecoder``.  A GET whose
+  whole range is resident in a store with non-blocking reads is answered
+  straight from ``data_received``: no task, no lock, no thread hop.  Every
+  other request (a miss, a PUT, STATS, any GET over a store that may
+  block) runs on a small thread pool -- the engine is thread-safe (striped
+  page locks) -- and a done-callback writes its reply.  Which of the two
+  happens is decided by what the engine's store is, never by a setting.
+- **Per-connection backpressure.**  A connection stops reading *and*
+  stops parsing what it has buffered while ``max_inflight`` of its
+  requests are on the pool or its transport is above the write
+  high-water mark, so overload lands in the client's socket buffer
+  instead of growing server queues (the same admission-control stance as
+  the simulated coordinator).
 - **Graceful drain.**  ``drain()`` stops the listener, lets every
   in-flight request finish and flush, answers late frames with a
   ``DRAINING`` error, then closes connections.  The return value says
@@ -24,15 +30,18 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
+from repro.core.cache_manager import CacheReadResult
 from repro.core.engine import CacheEngine
 from repro.service import protocol as wire
 from repro.service.protocol import (
     ErrorCode,
+    ErrorResponse,
     EvictRequest,
     EvictResponse,
     GetRequest,
@@ -49,6 +58,150 @@ from repro.service.protocol import (
 )
 
 
+def _get_response(result: CacheReadResult) -> GetResponse:
+    return GetResponse(
+        data=result.data,
+        fully_cached=result.fully_cached,
+        page_hits=result.page_hits,
+        page_misses=result.page_misses,
+    )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, replies out, no task of its own.
+
+    Everything here runs on the event loop thread.
+    """
+
+    def __init__(self, server: CacheServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport = None  # type: ignore[assignment]
+        self.decoder = wire.FrameDecoder()
+        self.pooled = 0            # requests on the thread pool: the window
+        self.write_paused = False  # transport above its write high-water mark
+        self.eof = False           # the peer will send nothing more
+        self.closing = False       # nothing more will be parsed
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is not None:
+            self.server.engine.metrics.record_error("service_connection", exc)
+        self.closing = True
+        self.server._connections.discard(self)
+        self.server._changed.set()
+
+    def data_received(self, data: bytes) -> None:
+        self.decoder.feed(data)
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._pump()
+        return True  # stay writable: in-flight replies still go out
+
+    def pause_writing(self) -> None:
+        # called from inside transport.write(); every writer here ends in
+        # _pump(), which sees the flag and stops parsing and reading
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._pump()
+
+    def _pump(self) -> None:
+        """Handle buffered frames until the window or the write buffer says
+        stop, then bring the transport's reading state in line."""
+        limit = self.server.max_inflight
+        while not (self.closing or self.write_paused or self.pooled >= limit):
+            try:
+                payload = self.decoder.next_frame()
+            except ProtocolError as exc:
+                self._bad_frame(exc)
+                break
+            if payload is None:
+                if self.eof:
+                    if self.decoder.pending:
+                        self._bad_frame(ProtocolError("connection closed mid frame"))
+                    self.closing = True
+                break
+            self._handle(payload)
+        # both calls are no-ops when the transport is already in that state
+        if self.closing or self.eof or self.write_paused or self.pooled >= limit:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+        if self.closing and not self.pooled:
+            self.transport.close()  # flushes what is buffered first
+
+    def _bad_frame(self, exc: ProtocolError) -> None:
+        """The byte stream is lost: say so, serve what is in flight, close."""
+        self.server.engine.metrics.record_error("service_frame", exc)
+        self._reply(0, ErrorResponse(ErrorCode.BAD_REQUEST, str(exc)))
+        self.closing = True
+
+    def _handle(self, payload: bytes) -> None:
+        server = self.server
+        try:
+            request_id, request = wire.decode_request(payload)
+        except ProtocolError as exc:
+            server.engine.metrics.record_error("service_decode", exc)
+            self._reply(0, ErrorResponse(ErrorCode.BAD_REQUEST, str(exc)))
+            return
+        if server._draining:
+            server._rejected += 1
+            self._reply(
+                request_id, ErrorResponse(ErrorCode.DRAINING, "server is draining")
+            )
+            return
+        started = time.perf_counter()
+        if type(request) is GetRequest and request.length <= wire.MAX_FRAME:
+            # A resident-only read never touches the data source or a store
+            # that may block.  What it cannot answer (a miss, an engine
+            # error) goes to the pool, where `_dispatch` repeats the read
+            # and turns a failure into an error frame.
+            try:
+                result = server.engine.get(
+                    request.file_id, request.offset, request.length,
+                    resident_only=True,
+                )
+            except Exception as exc:
+                server.engine.metrics.record_error("service_resident", exc)
+                result = None
+            if result is not None:
+                server._count_served(started)
+                self._reply(request_id, _get_response(result))
+                return
+        self.pooled += 1
+        done = functools.partial(self._pool_done, request_id, started)
+        asyncio.get_running_loop().run_in_executor(
+            server._executor, server._dispatch, request
+        ).add_done_callback(done)
+
+    def _pool_done(
+        self, request_id: int, started: float, future: asyncio.Future
+    ) -> None:
+        self.pooled -= 1
+        self.server._count_served(started)
+        self._reply(request_id, future.result())  # _dispatch never raises
+        self.server._changed.set()
+        self._pump()
+
+    def _reply(self, request_id: int, response: wire.Response) -> None:
+        if self.transport.is_closing():
+            return
+        try:
+            frame = wire.encode_response(response, request_id=request_id)
+        except ProtocolError as exc:  # the answer does not fit one frame
+            self.server.engine.metrics.record_error("service_encode", exc)
+            frame = wire.encode_response(
+                ErrorResponse(ErrorCode.TOO_LARGE, str(exc)), request_id=request_id
+            )
+        self.transport.write(frame)
+
+
 class CacheServer:
     """Serve one :class:`CacheEngine` over TCP.
 
@@ -56,7 +209,7 @@ class CacheServer:
         engine: the cache core; must outlive the server.
         host / port: bind address; ``port=0`` picks a free port (see
             :attr:`port` after :meth:`start`).
-        max_inflight: per-connection concurrent-request window.
+        max_inflight: per-connection window of requests on the thread pool.
         executor_workers: thread pool size for engine calls.
         ttl_interval: when > 0, runs ``engine.ttl_sweep()`` every that
             many (wall) seconds while the server is up.
@@ -81,9 +234,10 @@ class CacheServer:
             max_workers=executor_workers, thread_name_prefix="cache-engine"
         )
         self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._inflight: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
+        # set whenever a pooled request finishes or a connection goes away;
+        # drain() re-checks its conditions on it
+        self._changed = asyncio.Event()
         self._draining = False
         self._ttl_task: asyncio.Task | None = None
         self._served = 0
@@ -93,8 +247,8 @@ class CacheServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.ttl_interval > 0:
@@ -104,8 +258,7 @@ class CacheServer:
         """Graceful shutdown; returns a summary the caller can assert on."""
         self._draining = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            self._server.close()  # stop listening; connections stay up
         if self._ttl_task is not None:
             self._ttl_task.cancel()
             try:
@@ -113,40 +266,35 @@ class CacheServer:
             except asyncio.CancelledError:
                 pass  # cancellation is this loop's normal exit
             self._ttl_task = None
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        # first let every in-flight request finish and flush its response
-        clean = await self._await_tasks(self._inflight, deadline)
-        # then retire the connections themselves: closing the transports
-        # wakes read loops parked at a frame boundary (they see EOF)
-        for writer in list(self._writers):
-            self._close_writer(writer)
-        clean = await self._await_tasks(self._conn_tasks, deadline) and clean
+        deadline = asyncio.get_running_loop().time() + timeout
+        # first let every in-flight request finish and write its response;
+        # frames that arrive meanwhile are answered DRAINING
+        clean = await self._until(
+            lambda: not any(conn.pooled for conn in self._connections), deadline
+        )
+        # then retire the connections: close() flushes each write buffer
+        for conn in list(self._connections):
+            conn.transport.close()
+        clean = await self._until(lambda: not self._connections, deadline) and clean
+        for conn in list(self._connections):
+            conn.transport.abort()  # a peer that never read its replies
+        await self._until(lambda: not self._connections, deadline + 1.0)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
-        return {
-            "clean": clean,
-            "served": self._served,
-            "rejected": self._rejected,
-        }
+        return {"clean": clean, "served": self._served, "rejected": self._rejected}
 
-    @staticmethod
-    async def _await_tasks(tasks: set[asyncio.Task], deadline: float) -> bool:
-        """Wait for ``tasks`` until ``deadline``; cancel stragglers.
-
-        Returns True when everything finished on its own (a clean drain).
-        """
-        pending = {task for task in tasks if not task.done()}
-        if not pending:
-            return True
-        remaining = deadline - asyncio.get_running_loop().time()
-        if remaining > 0:
-            _done, pending = await asyncio.wait(pending, timeout=remaining)
-        if not pending:
-            return True
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
-        return False
+    async def _until(self, done: Callable[[], bool], deadline: float) -> bool:
+        """Wait (until ``deadline``) for ``done()``, re-checked whenever a
+        pooled request or a connection ends; True if it came true."""
+        while not done():
+            self._changed.clear()
+            remaining = deadline - asyncio.get_running_loop().time()
+            try:
+                await asyncio.wait_for(self._changed.wait(), max(remaining, 0.0))
+            except asyncio.TimeoutError:
+                return done()
+        return True
 
     async def _ttl_loop(self) -> None:
         while True:
@@ -154,118 +302,11 @@ class CacheServer:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(self._executor, self.engine.ttl_sweep)
 
-    # ------------------------------------------------------------ connections
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        self._writers.add(writer)
-        try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            self.engine.metrics.record_error("service_connection", exc)
-        finally:
-            self._writers.discard(writer)
-            self._close_writer(writer)
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        window = asyncio.Semaphore(self.max_inflight)
-        write_lock = asyncio.Lock()
-        inflight: set[asyncio.Task] = set()
-        while True:
-            try:
-                payload = await wire.read_frame(reader)
-            except ProtocolError as exc:
-                self.engine.metrics.record_error("service_frame", exc)
-                await self._send(
-                    writer, write_lock,
-                    wire.encode_response(
-                        wire.ErrorResponse(ErrorCode.BAD_REQUEST, str(exc)),
-                        request_id=0,
-                    ),
-                )
-                break
-            if payload is None:
-                break
-            # backpressure: the read loop parks here while the window is
-            # full, pushing overload back into the kernel socket buffer
-            await window.acquire()
-            task = asyncio.create_task(
-                self._handle_frame(payload, writer, write_lock, window)
-            )
-            inflight.add(task)
-            task.add_done_callback(inflight.discard)
-            # drain() waits on the server-wide set so idle connections do
-            # not hold shutdown hostage while real work is still running
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-        if inflight:
-            await asyncio.gather(*inflight, return_exceptions=True)
-
-    async def _handle_frame(
-        self,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        window: asyncio.Semaphore,
-    ) -> None:
-        try:
-            request_id = 0
-            try:
-                request_id, request = wire.decode_request(payload)
-            except ProtocolError as exc:
-                self.engine.metrics.record_error("service_decode", exc)
-                response: wire.Response = wire.ErrorResponse(
-                    ErrorCode.BAD_REQUEST, str(exc)
-                )
-            else:
-                if self._draining:
-                    self._rejected += 1
-                    response = wire.ErrorResponse(
-                        ErrorCode.DRAINING, "server is draining"
-                    )
-                else:
-                    loop = asyncio.get_running_loop()
-                    started = time.perf_counter()
-                    response = await loop.run_in_executor(
-                        self._executor, self._dispatch, request
-                    )
-                    self._served += 1
-                    self.engine.metrics.histogram(
-                        "service_request_seconds"
-                    ).observe(time.perf_counter() - started)
-            await self._send(
-                writer, write_lock,
-                wire.encode_response(response, request_id=request_id),
-            )
-        finally:
-            window.release()
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        frame: bytes,
-    ) -> None:
-        async with write_lock:
-            if writer.is_closing():
-                return
-            writer.write(frame)
-            try:
-                await writer.drain()
-            except ConnectionError as exc:
-                self.engine.metrics.record_error("service_write", exc)
-
-    @staticmethod
-    def _close_writer(writer: asyncio.StreamWriter) -> None:
-        if not writer.is_closing():
-            writer.close()
+    def _count_served(self, started: float) -> None:
+        self._served += 1
+        self.engine.metrics.histogram("service_request_seconds").observe(
+            time.perf_counter() - started
+        )
 
     # --------------------------------------------------------------- dispatch
 
@@ -273,20 +314,12 @@ class CacheServer:
         """Engine call for one request; runs on the executor thread pool."""
         try:
             if isinstance(request, GetRequest):
-                result = self.engine.get(
-                    request.file_id, request.offset, request.length
-                )
-                return GetResponse(
-                    data=result.data,
-                    fully_cached=result.fully_cached,
-                    page_hits=result.page_hits,
-                    page_misses=result.page_misses,
+                return _get_response(
+                    self.engine.get(request.file_id, request.offset, request.length)
                 )
             if isinstance(request, PutRequest):
                 return PutResponse(
-                    self.engine.put(
-                        request.file_id, request.page_index, request.data
-                    )
+                    self.engine.put(request.file_id, request.page_index, request.data)
                 )
             if isinstance(request, EvictRequest):
                 return EvictResponse(
@@ -299,32 +332,28 @@ class CacheServer:
                 stats["server"] = {
                     "served": self._served,
                     "rejected": self._rejected,
-                    "connections": len(self._conn_tasks),
+                    "connections": len(self._connections),
                     "draining": self._draining,
                 }
-                return StatsResponse(
-                    json.dumps(stats, sort_keys=True).encode()
-                )
+                return StatsResponse(json.dumps(stats, sort_keys=True).encode())
             if isinstance(request, HealthRequest):
                 health = dict(self.engine.health())
                 health["draining"] = self._draining
-                return HealthResponse(
-                    json.dumps(health, sort_keys=True).encode()
-                )
+                return HealthResponse(json.dumps(health, sort_keys=True).encode())
             if isinstance(request, LengthRequest):
                 return LengthResponse(self.engine.file_length(request.file_id))
-            return wire.ErrorResponse(
+            return ErrorResponse(
                 ErrorCode.BAD_REQUEST, f"unhandled request {type(request).__name__}"
             )
         except (KeyError, FileNotFoundError) as exc:
             self.engine.metrics.record_error("service_dispatch", exc)
-            return wire.ErrorResponse(ErrorCode.NOT_FOUND, str(exc))
+            return ErrorResponse(ErrorCode.NOT_FOUND, str(exc))
         except ValueError as exc:
             self.engine.metrics.record_error("service_dispatch", exc)
-            return wire.ErrorResponse(ErrorCode.BAD_REQUEST, str(exc))
+            return ErrorResponse(ErrorCode.BAD_REQUEST, str(exc))
         except Exception as exc:  # the wire gets an error frame, not a reset
             self.engine.metrics.record_error("service_dispatch", exc)
-            return wire.ErrorResponse(ErrorCode.SERVER_ERROR, repr(exc))
+            return ErrorResponse(ErrorCode.SERVER_ERROR, repr(exc))
 
 
 # -------------------------------------------------------------------- CLI

@@ -216,3 +216,48 @@ class TestSimulatedSsdPageStore:
         # freeing space lets the put succeed
         store.delete(PID, 0)
         store.put(PageId("g", 0), b"123", 0)
+
+
+class TestOneGetSignature:
+    """Every store takes ``get(page_id, directory, offset, length, *,
+    timeout)``, so the manager calls it one way and hides nothing."""
+
+    def test_every_store_accepts_the_read_budget(self, tmp_path):
+        stores = [
+            MemoryPageStore(),
+            LocalFilePageStore([tmp_path], page_size=64),
+            make_sim_store()[0],
+        ]
+        for store in stores:
+            store.put(PID, b"hello world", 0)
+            assert store.get(PID, 0, 6, 5, timeout=10.0) == b"world"
+            assert store.get(PID, 0, timeout=None) == b"hello world"
+
+    def test_a_type_error_inside_a_store_surfaces(self):
+        # the manager used to treat TypeError as "this store has no timeout
+        # parameter" and retry without it, swallowing genuine bugs
+        from repro.core.cache_manager import LocalCacheManager
+        from repro.core.config import CacheConfig
+        from repro.storage.remote import SyntheticDataSource
+
+        class BuggyStore(MemoryPageStore):
+            def __init__(self) -> None:
+                super().__init__()
+                self.gets = 0
+
+            def get(self, page_id, directory, offset=0, length=None, *, timeout=None):
+                self.gets += 1
+                return len(None)  # a programming error: TypeError
+
+        store = BuggyStore()
+        source = SyntheticDataSource(base_latency=0.0, bandwidth=1e12)
+        source.add_file("f", 256)
+        manager = LocalCacheManager(
+            CacheConfig.small(1024, page_size=64), page_store=store
+        )
+        manager.read("f", 0, 64, source)  # miss: fills the page
+        with pytest.raises(TypeError):
+            manager.read("f", 0, 64, source)
+        assert store.gets == 1  # raised once, not retried
+        with pytest.raises(TypeError):
+            manager.read_resident("f", 0, 64)
