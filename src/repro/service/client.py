@@ -3,8 +3,8 @@
 Three layers, innermost first:
 
 - :class:`AsyncCacheClient` -- one connection.  Requests carry ids, so
-  many may be in flight at once; a reader task matches response frames
-  (arriving in any order) back to their futures.
+  many may be in flight at once; response frames (arriving in any order)
+  are matched back to their futures as the socket delivers them.
 - :class:`CacheClientPool` -- N connections, round-robin dispatch; the
   unit the load generator drives.
 - :class:`RemoteCacheDataSource` -- a *synchronous*
@@ -27,6 +27,7 @@ import itertools
 import json
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any
 
 from repro.errors import FileNotFoundInStorageError, RemoteReadError
@@ -57,58 +58,91 @@ def _raise_for_error(error: ErrorResponse) -> None:
     raise RemoteReadError(f"cache service error ({error.code.name}): {error.message}")
 
 
-class AsyncCacheClient:
-    """One pipelined connection to a :class:`~repro.service.server.CacheServer`."""
+class AsyncCacheClient(asyncio.BufferedProtocol):
+    """One pipelined connection to a :class:`~repro.service.server.CacheServer`.
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._write_lock = asyncio.Lock()
+    The client is its own transport protocol: the socket receives into the
+    decoder's buffer and :meth:`buffer_updated` resolves the futures of the
+    replies that completed.  No reader task, no lock: a request is one
+    ``transport.write`` and waits only for its reply -- and, before that,
+    for a transport that is above its write high-water mark.
+    """
+
+    def __init__(self) -> None:
+        self._transport: asyncio.Transport | None = None
+        self._decoder = wire.FrameDecoder()
         self._pending: dict[int, asyncio.Future] = {}
         self._request_ids = itertools.count(1)
         self._closed = False
-        self._reader_task: asyncio.Task | None = None
+        self._writable = asyncio.Event()  # clear while the transport says pause
+        self._writable.set()
+        self._lost: asyncio.Future | None = None  # done by connection_lost
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "AsyncCacheClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer)
-        client._reader_task = asyncio.create_task(client._read_loop())
-        return client
+        loop = asyncio.get_running_loop()
+        return (await loop.create_connection(cls, host, port))[1]
 
-    async def _read_loop(self) -> None:
-        error: Exception = ConnectionError("cache service connection closed")
+    # the transport's side (asyncio.BufferedProtocol) ------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._lost = asyncio.get_running_loop().create_future()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._decoder.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        decoder, pending = self._decoder, self._pending
+        decoder.buffer_updated(nbytes)
         try:
-            while True:
-                payload = await wire.read_frame(self._reader)
-                if payload is None:
-                    break
+            while (payload := decoder.next_frame()) is not None:
                 request_id, response = wire.decode_response(payload)
-                future = self._pending.pop(request_id, None)
+                # a reply nobody waits for (cancelled, or never asked) is dropped
+                future = pending.get(request_id)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError) as exc:
-            error = ConnectionError(f"cache service connection failed: {exc!r}")
-        finally:
-            self._closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(error)
-            self._pending.clear()
+        except ProtocolError as exc:
+            self._fail(ConnectionError(f"cache service connection failed: {exc!r}"))
+            self._transport.abort()
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        reason = "closed" if exc is None else f"failed: {exc!r}"
+        if self._decoder.pending:
+            reason += " mid frame"
+        self._fail(ConnectionError(f"cache service connection {reason}"))
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def _fail(self, error: ConnectionError) -> None:
+        """Fail every request still waiting, once; refuse new ones."""
+        self._closed = True
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(error)
+        self._writable.set()  # writers parked on backpressure see _closed
 
     async def request(self, req: wire.Request) -> wire.Response:
-        if self._closed:
+        while not self._writable.is_set():
+            await self._writable.wait()  # backpressure: one frame past the mark
+        if self._closed or self._transport is None:
             raise ConnectionError("cache client is closed")
         request_id = next(self._request_ids)
+        frame = wire.encode_request(req, request_id=request_id)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        frame = wire.encode_request(req, request_id=request_id)
-        async with self._write_lock:
-            self._writer.write(frame)
-            await self._writer.drain()
-        response = await future
+        # 3.12's transport keeps what it is given: fresh bytes, never a buffer view
+        self._transport.write(frame)
+        try:
+            response = await future
+        finally:
+            del self._pending[request_id]  # also when cancelled or timed out
         if isinstance(response, ErrorResponse):
             _raise_for_error(response)
         return response
@@ -152,18 +186,11 @@ class AsyncCacheClient:
 
     async def close(self) -> None:
         self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass  # cancellation is the expected exit here
-        if not self._writer.is_closing():
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except ConnectionError:
-                pass  # peer already gone; closing is the goal
+        if self._transport is not None:
+            # every waiting caller is failed, so nobody is left to read a reply:
+            # drop unsent requests, do not flush them to a peer that may not read
+            self._transport.abort()
+            await self._lost
 
 
 class CacheClientPool:
@@ -238,9 +265,14 @@ class RemoteCacheDataSource:
         )
 
     def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            self._timeout
-        )
+        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        try:
+            return future.result(self._timeout)
+        except FutureTimeout:
+            future.cancel()  # stops the coroutine on the private loop too
+            raise RemoteReadError(
+                f"cache service call timed out after {self._timeout} s"
+            ) from None
 
     # DataSource protocol ----------------------------------------------------
 

@@ -13,10 +13,8 @@ match responses arriving in any order.  Errors are first-class frames
 client can distinguish "page not found" from "server going away".
 
 The codec and :class:`FrameDecoder` are pure bytes-in/bytes-out -- no
-sockets, no event loop (:func:`read_frame`, the streams helper the client
-uses, is the one exception) -- so the server, the client, and the protocol
-tests share one implementation and the doctest below can show a full round
-trip:
+sockets, no event loop -- so the server, the client, and the protocol tests
+share one implementation and the doctest below can show a full round trip:
 
 >>> frame = encode_request(GetRequest("f", 0, 4096), request_id=7)
 >>> rid, req = decode_request(frame[4:])
@@ -26,12 +24,13 @@ trip:
 
 from __future__ import annotations
 
-import asyncio
 import enum
+import mmap
 import struct
 from dataclasses import dataclass
 
 MAX_FRAME = 16 * 1024 * 1024  # refuse absurd frames before allocating
+_RECEIVE_BUFFER = 256 * 1024  # what a FrameDecoder starts with
 _HEADER = struct.Struct(">BQ")   # opcode, request id
 _PREFIX = struct.Struct(">IBQ")  # payload length + header, packed in one go
 _U8 = struct.Struct(">B")
@@ -173,11 +172,13 @@ def _pack_str(value: str) -> bytes:
 
 
 class _Cursor:
-    """Sequential reader over one frame payload with bounds checking."""
+    """Sequential reader over one frame payload (``bytes`` or a view
+    borrowed from a receive buffer) with bounds checking; what a field
+    returns is a copy that outlives the payload."""
 
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes, pos: int = 0) -> None:
+    def __init__(self, buf: bytes | memoryview, pos: int = 0) -> None:
         self.buf = buf
         self.pos = pos
 
@@ -193,7 +194,7 @@ class _Cursor:
 
     def take(self, count: int) -> bytes:
         start = self._advance(count)
-        return self.buf[start:self.pos]
+        return bytes(self.buf[start:self.pos])  # the one copy out of a view
 
     def unpack(self, fields: struct.Struct) -> tuple:
         """Fixed-width fields, read in place (no intermediate slice)."""
@@ -212,7 +213,11 @@ class _Cursor:
         return self.unpack(_I64)[0]
 
     def string(self) -> str:
-        return self.take(self.unpack(_U16)[0]).decode("utf-8")
+        start = self._advance(self.unpack(_U16)[0])
+        try:
+            return str(self.buf[start:self.pos], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"string field is not UTF-8: {exc}") from None
 
     def blob(self) -> bytes:
         return self.take(self.u32())
@@ -299,8 +304,9 @@ def encode_response(
 # ----------------------------------------------------------------- decode
 
 
-def decode_request(payload: bytes) -> tuple[int, Request]:
-    """Parse one request payload (frame minus length prefix)."""
+def decode_request(payload: bytes | memoryview) -> tuple[int, Request]:
+    """Parse one request payload (frame minus length prefix); the result
+    owns its bytes (a PUT's page is copied out of ``payload``)."""
     cur = _Cursor(payload)
     opcode, request_id = cur.unpack(_HEADER)
     try:
@@ -328,15 +334,19 @@ def decode_request(payload: bytes) -> tuple[int, Request]:
     return request_id, request
 
 
-def decode_response(payload: bytes) -> tuple[int, Response]:
-    """Parse one response payload (frame minus length prefix)."""
+def decode_response(payload: bytes | memoryview) -> tuple[int, Response]:
+    """Parse one response payload (frame minus length prefix); the result
+    owns its bytes (a GET's data is copied out of ``payload``)."""
     cur = _Cursor(payload)
     opcode, request_id = cur.unpack(_HEADER)
     if opcode == _ERROR_OPCODE:
         (code,) = cur.unpack(_U16)
         message = cur.string()
         cur.done()
-        return request_id, ErrorResponse(ErrorCode(code), message)
+        try:
+            return request_id, ErrorResponse(ErrorCode(code), message)
+        except ValueError:
+            raise ProtocolError(f"unknown error code {code}") from None
     if not opcode & _RESPONSE_BIT:
         raise ProtocolError(f"response frame without response bit: 0x{opcode:02x}")
     try:
@@ -365,7 +375,7 @@ def decode_response(payload: bytes) -> tuple[int, Response]:
 # ------------------------------------------------------------ frame stream
 
 
-def read_frame_length(prefix: bytes) -> int:
+def read_frame_length(prefix: bytes | memoryview) -> int:
     """Validate a 4-byte length prefix; returns the payload length."""
     if len(prefix) != _LEN.size:
         raise ProtocolError(f"length prefix is {len(prefix)} bytes, want 4")
@@ -378,64 +388,62 @@ def read_frame_length(prefix: bytes) -> int:
 
 
 class FrameDecoder:
-    """Sans-IO frame splitter: ``feed`` whatever the socket delivered,
-    then take payloads out with ``next_frame`` until it returns ``None``.
+    """Sans-IO frame splitter, shaped as the buffer half of
+    ``asyncio.BufferedProtocol``: the transport receives straight into
+    :meth:`get_buffer`, reports the count to :meth:`buffer_updated`, and
+    payloads come out of :meth:`next_frame` until it returns ``None``.
 
-    Bytes are appended to one buffer and each payload is copied out of it
-    once, so a large frame that trickles in costs its size, not its size
-    times the number of chunks.
+    One buffer per connection, reused for every frame: 256 KiB to start;
+    when a length prefix announces a frame that does not fit, it grows once
+    to exactly that frame (``MAX_FRAME`` plus the prefix at most) and stays
+    grown.  It is an anonymous mapping: a size a peer merely announces is
+    address space, not memory, until the bytes arrive.
+
+    **A payload is borrowed**: a view into the buffer, valid until the next
+    :meth:`get_buffer`, which may move pending bytes over it.  Decode it
+    (the codec copies out what it keeps) or copy it before receiving again.
     """
 
-    __slots__ = ("_buf", "_pos")
+    __slots__ = ("_view", "_pos", "_fill")
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        self._pos = 0
+        self._view = memoryview(mmap.mmap(-1, _RECEIVE_BUFFER))
+        self._pos = 0   # start of what next_frame has not returned yet
+        self._fill = 0  # end of what was received
 
-    def feed(self, data: bytes) -> None:
-        if self._pos:
-            # drop what next_frame already handed out (front deletion of a
-            # bytearray does not move the tail)
-            del self._buf[:self._pos]
-            self._pos = 0
-        self._buf += data
+    def get_buffer(self, sizehint: int = -1) -> memoryview:
+        """Where the next bytes go: room for the frame in progress, at least."""
+        view, pos = self._view, self._pos
+        pending = self._fill - pos
+        need = _LEN.size
+        if pending >= need:
+            # a bad prefix is next_frame's to report; here it sizes nothing
+            need += min(_LEN.unpack_from(view, pos)[0], MAX_FRAME)
+        if need > len(view) or pos and (not pending or pos + need > len(view)):
+            if need > len(view):
+                self._view = memoryview(mmap.mmap(-1, need))
+            self._view[:pending] = view[pos:self._fill]  # a memmove
+            self._pos, self._fill = 0, pending
+        return self._view[self._fill:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._fill += nbytes
 
     @property
     def pending(self) -> int:
         """Buffered bytes not yet returned: non-zero at EOF is a torn frame."""
-        return len(self._buf) - self._pos
+        return self._fill - self._pos
 
-    def next_frame(self) -> bytes | None:
-        """The next complete payload, or ``None`` until more bytes arrive.
-
-        Raises :class:`ProtocolError` on a bad length prefix; the stream
-        cannot be resynchronised after that, so every later call raises too.
+    def next_frame(self) -> memoryview | None:
+        """The next complete payload (borrowed, see above), or ``None`` until
+        more bytes arrive.  A bad length prefix raises :class:`ProtocolError`;
+        the stream cannot be resynchronised, so every later call raises too.
         """
         start = self._pos + _LEN.size
-        if len(self._buf) < start:
+        if self._fill < start:
             return None
-        end = start + read_frame_length(self._buf[self._pos:start])
-        if len(self._buf) < end:
+        end = start + read_frame_length(self._view[self._pos:start])
+        if self._fill < end:
             return None
         self._pos = end
-        with memoryview(self._buf) as view:
-            return bytes(view[start:end])
-
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one frame payload from an ``asyncio.StreamReader``.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on a torn or oversized frame.
-    """
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid length prefix") from exc
-    payload_len = read_frame_length(prefix)
-    try:
-        return await reader.readexactly(payload_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid frame") from exc
+        return self._view[start:end]

@@ -3,13 +3,14 @@
 Design (DESIGN.md §14):
 
 - **Hits on the loop, everything else on the pool.**  Each connection is
-  an ``asyncio.Protocol`` feeding a sans-IO ``FrameDecoder``.  A GET whose
-  whole range is resident in a store with non-blocking reads is answered
-  straight from ``data_received``: no task, no lock, no thread hop.  Every
-  other request (a miss, a PUT, STATS, any GET over a store that may
-  block) runs on a small thread pool -- the engine is thread-safe (striped
-  page locks) -- and a done-callback writes its reply.  Which of the two
-  happens is decided by what the engine's store is, never by a setting.
+  an ``asyncio.BufferedProtocol`` receiving straight into a sans-IO
+  ``FrameDecoder``.  A GET whose whole range is resident in a store with
+  non-blocking reads is answered from ``buffer_updated``: no task, no lock,
+  no thread hop.  Every other request (a miss, a PUT, STATS, any GET over
+  a store that may block) runs on a small thread pool -- the engine is
+  thread-safe (striped page locks) -- and a done-callback writes its reply.
+  Which of the two happens is decided by what the engine's store is, never
+  by a setting.
 - **Per-connection backpressure.**  A connection stops reading *and*
   stops parsing what it has buffered while ``max_inflight`` of its
   requests are on the pool or its transport is above the write
@@ -67,7 +68,7 @@ def _get_response(result: CacheReadResult) -> GetResponse:
     )
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames in, replies out, no task of its own.
 
     Everything here runs on the event loop thread.
@@ -93,8 +94,11 @@ class _Connection(asyncio.Protocol):
         self.server._connections.discard(self)
         self.server._changed.set()
 
-    def data_received(self, data: bytes) -> None:
-        self.decoder.feed(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.decoder.get_buffer()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.decoder.buffer_updated(nbytes)
         self._pump()
 
     def eof_received(self) -> bool:
@@ -142,7 +146,8 @@ class _Connection(asyncio.Protocol):
         self._reply(0, ErrorResponse(ErrorCode.BAD_REQUEST, str(exc)))
         self.closing = True
 
-    def _handle(self, payload: bytes) -> None:
+    def _handle(self, payload: memoryview) -> None:
+        # payload is borrowed from the receive buffer; the request owns its bytes
         server = self.server
         try:
             request_id, request = wire.decode_request(payload)
@@ -199,6 +204,7 @@ class _Connection(asyncio.Protocol):
             frame = wire.encode_response(
                 ErrorResponse(ErrorCode.TOO_LARGE, str(exc)), request_id=request_id
             )
+        # 3.12's transport keeps what it is given: fresh bytes, never a buffer view
         self.transport.write(frame)
 
 

@@ -22,6 +22,7 @@ from repro.service import protocol as wire
 from repro.service.client import AsyncCacheClient
 from repro.service.server import CacheServer
 from repro.storage.remote import ReadResult
+from tests.service.rawpeer import open_raw
 
 NOW = WallClock().now  # the sanctioned wall-clock port (monotonic seconds)
 KIB = 1024
@@ -111,11 +112,6 @@ async def assert_baseline(server: CacheServer, workers: int) -> None:
     finally:
         await client.close()
     await settle(server)
-
-
-async def read_reply(reader: asyncio.StreamReader):
-    payload = await asyncio.wait_for(wire.read_frame(reader), timeout=5.0)
-    return None if payload is None else wire.decode_response(payload)
 
 
 class TestWhoRunsWhere:
@@ -281,7 +277,7 @@ class TestHostilePeers:
         engine.put("hot", 0, b"h" * PAGE)
 
         async def scenario(server):
-            reader, writer = await asyncio.open_connection(server.host, server.port)
+            reader, writer = await open_raw(server.host, server.port)
             try:
                 result = await attack(server, reader, writer)
             finally:
@@ -306,8 +302,8 @@ class TestHostilePeers:
             writer.write(wire.encode_request(wire.HealthRequest(), request_id=1))
             writer.write(prefix + b"\x00" * 32)
             await writer.drain()
-            replies = dict([await read_reply(reader), await read_reply(reader)])
-            return replies, await read_reply(reader)
+            replies = dict([await reader.next_reply(), await reader.next_reply()])
+            return replies, await reader.next_reply()
 
         (replies, eof), engine = self._run(attack)
         # the request before the bad prefix is still answered (from the pool,
@@ -324,23 +320,41 @@ class TestHostilePeers:
             writer.write(bytes(frame))
             writer.write(wire.encode_request(wire.GetRequest("hot", 0, 8), request_id=6))
             await writer.drain()
-            return await read_reply(reader), await read_reply(reader)
+            return await reader.next_reply(), await reader.next_reply()
 
         (bad, good), _ = self._run(attack)
         assert bad[1].code is wire.ErrorCode.BAD_REQUEST
         assert good == (6, wire.GetResponse(b"h" * 8, True, 1, 0))
+
+    def test_a_file_id_that_is_not_utf8_keeps_the_connection(self):
+        async def attack(server, reader, writer):
+            frame = bytearray(wire.encode_request(wire.GetRequest("hot", 0, 8), request_id=5))
+            frame[4 + 9 + 2] = 0xFF  # first byte of the file id
+            writer.write(bytes(frame))
+            writer.write(wire.encode_request(wire.GetRequest("hot", 0, 8), request_id=6))
+            await writer.drain()
+            return await reader.next_reply(), await reader.next_reply()
+
+        (bad, good), engine = self._run(attack)
+        # an error frame, not a traceback out of the protocol callback and a
+        # reset: the frame boundary is intact, so the connection goes on
+        assert bad[1].code is wire.ErrorCode.BAD_REQUEST and "UTF-8" in bad[1].message
+        assert good == (6, wire.GetResponse(b"h" * 8, True, 1, 0))
+        assert engine.metrics.error_breakdown() == {
+            "service_decode": {"ProtocolError": 1}
+        }
 
     def test_garbage(self):
         async def attack(server, reader, writer):
             # a plausible length, then noise: undecodable, but still a frame
             writer.write((64).to_bytes(4, "big") + bytes(range(1, 65)))
             await writer.drain()
-            undecodable = await read_reply(reader)
+            undecodable = await reader.next_reply()
             # then noise where a length should be: the stream is lost
             writer.write(b"\xff" * 4096)
             await writer.drain()
-            lost = await read_reply(reader)
-            return undecodable, lost, await read_reply(reader)
+            lost = await reader.next_reply()
+            return undecodable, lost, await reader.next_reply()
 
         (undecodable, lost, eof), engine = self._run(attack)
         assert undecodable[1].code is wire.ErrorCode.BAD_REQUEST
@@ -358,7 +372,7 @@ class TestHostilePeers:
             (conn,) = server._connections
             pending = conn.decoder.pending
             writer.write_eof()
-            return pending, await read_reply(reader)
+            return pending, await reader.next_reply()
 
         (pending, reply), engine = self._run(attack)
         assert pending > 0
@@ -404,20 +418,97 @@ class TestHostilePeers:
         assert served < 400
 
 
+class TestClientCancellation:
+    """A caller that gives up mid-GET leaves nothing behind on either end."""
+
+    WORKERS = 2
+
+    def test_a_cancelled_get_is_forgotten_at_once_and_its_late_reply_dropped(self):
+        source = SlowSource(delay=0.2)
+        engine = make_engine(source)
+
+        async def scenario(server):
+            client = await AsyncCacheClient.connect(server.host, server.port)
+            try:
+                parked = asyncio.ensure_future(client.get("cold", 0, PAGE))
+                while source.active < 1:
+                    await asyncio.sleep(0.005)
+                parked.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await parked
+                forgotten = dict(client._pending)
+                # the same connection goes on: this reply is its own, and it
+                # arrives behind the one nobody is waiting for any more
+                other = await client.get("cold", 5 * PAGE, 100)
+                served = server._served
+                left = dict(client._pending)
+            finally:
+                await client.close()
+            await assert_baseline(server, self.WORKERS)
+            return forgotten, other, served, left
+
+        (forgotten, other, served, left), summary = run(
+            scenario, engine, max_inflight=1, executor_workers=self.WORKERS
+        )
+        assert forgotten == {} and left == {}
+        assert len(other.data) == 100 and other.page_misses == 1
+        assert served == 2  # the server did answer the cancelled GET
+        assert summary["clean"] is True
+
+    def test_a_request_that_cannot_be_encoded_was_never_pending(self):
+        async def scenario(server):
+            client = await AsyncCacheClient.connect(server.host, server.port)
+            try:
+                with pytest.raises(wire.ProtocolError, match="too long"):
+                    await client.file_length("x" * 70_000)
+                return dict(client._pending), await client.health()
+            finally:
+                await client.close()
+
+        (left, health), _ = run(scenario, make_engine(SlowSource()))
+        assert left == {} and health["status"] == "ok"
+
+    def test_cancelling_a_writer_parked_on_backpressure_wakes_the_others(self):
+        engine = make_engine(SlowSource())
+
+        async def scenario(server):
+            client = await AsyncCacheClient.connect(server.host, server.port)
+            try:
+                client.pause_writing()  # as the transport does above high water
+                puts = [
+                    asyncio.ensure_future(client.put("f", n, b"p" * PAGE))
+                    for n in range(3)
+                ]
+                await asyncio.sleep(0.01)
+                assert client._pending == {}  # nothing written, nothing owed
+                puts[0].cancel()
+                client.resume_writing()
+                done = await asyncio.gather(*puts, return_exceptions=True)
+                return done, dict(client._pending)
+            finally:
+                await client.close()
+
+        (done, left), summary = run(scenario, engine)
+        assert isinstance(done[0], asyncio.CancelledError)
+        assert done[1:] == [True, True]
+        assert left == {}
+        assert summary["served"] == 2
+
+
 class TestReplies:
     def test_half_closed_peer_still_gets_its_replies(self):
         source = SlowSource(delay=0.05)
         engine = make_engine(source)
 
         async def scenario(server):
-            reader, writer = await asyncio.open_connection(server.host, server.port)
+            reader, writer = await open_raw(server.host, server.port)
             for n in range(5):
                 writer.write(
                     wire.encode_request(wire.GetRequest("f", n * PAGE, PAGE), request_id=n)
                 )
             writer.write_eof()
-            replies = [await read_reply(reader) for _ in range(5)]
-            eof = await read_reply(reader)
+            replies = [await reader.next_reply() for _ in range(5)]
+            eof = await reader.next_reply()
             writer.close()
             return replies, eof
 
@@ -491,10 +582,8 @@ class TestDrain:
         async def scenario():
             server = CacheServer(engine)
             await server.start()
-            reader, writer = await asyncio.open_connection(server.host, server.port)
-            idle_reader, idle_writer = await asyncio.open_connection(
-                server.host, server.port
-            )
+            reader, writer = await open_raw(server.host, server.port)
+            idle_reader, idle_writer = await open_raw(server.host, server.port)
             writer.write(wire.encode_request(wire.GetRequest("cold", 0, PAGE), request_id=1))
             await writer.drain()
             while source.active < 1:
@@ -504,10 +593,10 @@ class TestDrain:
             # a hit would be free to serve, but the server is going away
             writer.write(wire.encode_request(wire.GetRequest("hot", 0, PAGE), request_id=2))
             await writer.drain()
-            late = await read_reply(reader)
-            slow = await read_reply(reader)
-            closed = await read_reply(reader)
-            idle_closed = await read_reply(idle_reader)
+            late = await reader.next_reply()
+            slow = await reader.next_reply()
+            closed = await reader.next_reply()
+            idle_closed = await idle_reader.next_reply()
             summary = await draining
             for w in (writer, idle_writer):
                 w.close()
@@ -527,7 +616,7 @@ class TestDrain:
         async def scenario():
             server = CacheServer(engine)
             await server.start()
-            reader, writer = await asyncio.open_connection(server.host, server.port)
+            reader, writer = await open_raw(server.host, server.port)
             for n in range(400):
                 writer.write(
                     wire.encode_request(wire.GetRequest("hot", 0, PAGE), request_id=n)

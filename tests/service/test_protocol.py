@@ -7,12 +7,14 @@ unknown opcodes, trailing bytes, oversized frames) without any sockets.
 
 import asyncio
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ports.clock import WallClock
+from repro.service import protocol as wire
 from repro.service.protocol import (
     MAX_FRAME,
     FrameDecoder,
@@ -36,9 +38,9 @@ from repro.service.protocol import (
     decode_response,
     encode_request,
     encode_response,
-    read_frame,
     read_frame_length,
 )
+from tests.service.rawpeer import FrameReader
 
 REQUESTS = [
     GetRequest("bench/file-00001", 4096, 65536),
@@ -112,6 +114,27 @@ class TestMalformedFrames:
         with pytest.raises(ProtocolError, match="response bit"):
             decode_response(bytes(frame[4:]))
 
+    def test_a_string_that_is_not_utf8_is_a_protocol_error(self):
+        frame = bytearray(encode_request(GetRequest("abcd", 0, 1), request_id=1))
+        frame[4 + 9 + 2] = 0xFF  # first byte of the file id
+        for payload in (bytes(frame[4:]), memoryview(frame)[4:]):
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                decode_request(payload)
+        reply = bytearray(
+            encode_response(ErrorResponse(ErrorCode.NOT_FOUND, "gone"), request_id=1)
+        )
+        reply[-1] = 0xFF
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            decode_response(bytes(reply[4:]))
+
+    def test_an_unknown_error_code_is_a_protocol_error(self):
+        reply = bytearray(
+            encode_response(ErrorResponse(ErrorCode.NOT_FOUND, ""), request_id=1)
+        )
+        reply[4 + 9:4 + 11] = (99).to_bytes(2, "big")
+        with pytest.raises(ProtocolError, match="unknown error code 99"):
+            decode_response(bytes(reply[4:]))
+
     def test_oversized_frame_refused_before_allocation(self):
         with pytest.raises(ProtocolError, match="too large"):
             read_frame_length((MAX_FRAME + 1).to_bytes(4, "big"))
@@ -126,28 +149,33 @@ class TestMalformedFrames:
 
 
 class TestFrameStream:
+    """A byte stream that ends: what came out, and how the end is judged
+    (``pending`` bytes at EOF are a torn frame) -- through the raw-socket
+    reader the other service tests use."""
+
     @staticmethod
-    def _read_from(data: bytes):
+    def _read_from(data: bytes, count: int = 1):
         # StreamReader must be built inside a running loop
         async def scenario():
             reader = asyncio.StreamReader()
             reader.feed_data(data)
             reader.feed_eof()
-            return await read_frame(reader)
+            frames = FrameReader(reader)
+            return [await frames.next_payload() for _ in range(count)]
 
         return asyncio.run(scenario())
 
     def test_read_frame_returns_payload(self):
         frame = encode_request(GetRequest("f", 0, 100), request_id=9)
-        payload = self._read_from(frame)
+        (payload,) = self._read_from(frame)
         assert payload == frame[4:]
         assert decode_request(payload)[1] == GetRequest("f", 0, 100)
 
     def test_clean_eof_returns_none(self):
-        assert self._read_from(b"") is None
+        assert self._read_from(b"") == [None]
 
     def test_eof_mid_prefix_raises(self):
-        with pytest.raises(ProtocolError, match="mid length prefix"):
+        with pytest.raises(ProtocolError, match="mid frame"):
             self._read_from(b"\x00\x00")
 
     def test_eof_mid_frame_raises(self):
@@ -156,19 +184,11 @@ class TestFrameStream:
             self._read_from(frame[:-2])
 
     def test_two_frames_back_to_back(self):
-        async def scenario():
-            a = encode_request(HealthRequest(), request_id=1)
-            b = encode_request(LengthRequest("f"), request_id=2)
-            reader = asyncio.StreamReader()
-            reader.feed_data(a + b)
-            reader.feed_eof()
-            first = decode_request(await read_frame(reader))
-            second = decode_request(await read_frame(reader))
-            return first, second, await read_frame(reader)
-
-        first, second, tail = asyncio.run(scenario())
-        assert first == (1, HealthRequest())
-        assert second == (2, LengthRequest("f"))
+        a = encode_request(HealthRequest(), request_id=1)
+        b = encode_request(LengthRequest("f"), request_id=2)
+        first, second, tail = self._read_from(a + b, count=3)
+        assert decode_request(first) == (1, HealthRequest())
+        assert decode_request(second) == (2, LengthRequest("f"))
         assert tail is None
 
 
@@ -269,12 +289,43 @@ class TestWireBytesArePinned:
 
 # ---------------------------------------------------------- FrameDecoder
 
+PREFIX = 4
+INITIAL = 256 * 1024  # what a decoder starts with
+MIB = 1024 * 1024
+
 
 def _drain(decoder: FrameDecoder) -> list[bytes]:
+    """Copy out every complete payload (the views are borrowed)."""
     out = []
     while (payload := decoder.next_frame()) is not None:
-        out.append(payload)
+        assert type(payload) is memoryview
+        out.append(bytes(payload))
     return out
+
+
+def capacity(decoder: FrameDecoder) -> int:
+    """The size of the receive buffer behind the room on offer."""
+    return len(decoder.get_buffer(-1).obj)
+
+
+def deliver(decoder: FrameDecoder, stream: bytes, sizes=()) -> list[bytes]:
+    """Push ``stream`` through ``get_buffer``/``buffer_updated`` the way a
+    transport's ``recv_into`` does -- never more than the room offered, at
+    most ``sizes[k]`` bytes on the k-th read (``None``, and every read past
+    the end of ``sizes``: all the room there is) -- draining after each."""
+    payloads: list[bytes] = []
+    sizes = iter(sizes)
+    sent = 0
+    while sent < len(stream):
+        room = decoder.get_buffer(-1)
+        assert len(room) > 0
+        want = next(sizes, None)
+        count = min(len(room) if want is None else want, len(room), len(stream) - sent)
+        room[:count] = stream[sent:sent + count]
+        decoder.buffer_updated(count)
+        sent += count
+        payloads.extend(_drain(decoder))
+    return payloads
 
 
 message_lists = st.lists(
@@ -293,49 +344,85 @@ message_lists = st.lists(
 
 class TestFrameDecoder:
     @settings(max_examples=150, deadline=None)
-    @given(messages=message_lists, data=st.data())
-    def test_any_chunking_yields_the_same_payloads(self, messages, data):
+    @given(
+        messages=message_lists,
+        # a small buffer makes the drawn frames straddle, compact and grow it
+        initial=st.sampled_from([16, 64, 4096, INITIAL]),
+        sizes=st.lists(st.one_of(st.none(), st.integers(1, 400)), max_size=40),
+    )
+    def test_any_chunking_yields_the_same_payloads(self, messages, initial, sizes):
         frames = [encode_request(m, request_id=i) for i, m in enumerate(messages)]
-        stream = b"".join(frames)
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=20)))
-        decoder = FrameDecoder()
-        payloads: list[bytes] = []
-        for start, end in zip([0, *cuts], [*cuts, len(stream)]):
-            decoder.feed(stream[start:end])
-            payloads.extend(_drain(decoder))
+        with patch.object(wire, "_RECEIVE_BUFFER", initial):
+            decoder = FrameDecoder()
+        payloads = deliver(decoder, b"".join(frames), sizes)
         assert payloads == [frame[4:] for frame in frames]
-        assert all(type(payload) is bytes for payload in payloads)
         assert decoder.pending == 0
+        assert capacity(decoder) <= max(initial, max(map(len, frames)))
         assert [decode_request(p) for p in payloads] == list(enumerate(messages))
 
     def test_byte_at_a_time(self):
         frames = [encode_request(r, request_id=i) for i, r in enumerate(REQUESTS)]
-        decoder = FrameDecoder()
-        payloads = []
-        for byte in b"".join(frames):
-            decoder.feed(bytes([byte]))
-            payloads.extend(_drain(decoder))
+        stream = b"".join(frames)
+        payloads = deliver(FrameDecoder(), stream, [1] * len(stream))
         assert payloads == [frame[4:] for frame in frames]
+
+    def test_reads_that_fill_the_buffer_exactly(self):
+        page = bytes(range(256)) * 256
+        frames = [
+            encode_request(PutRequest("f", i, page), request_id=i) for i in range(16)
+        ]
+        decoder = FrameDecoder()
+        # every read takes all the room: 256 KiB at a time, frames straddling
+        assert deliver(decoder, b"".join(frames)) == [f[4:] for f in frames]
+        assert capacity(decoder) == INITIAL
 
     def test_partial_frame_is_pending(self):
         frame = encode_request(GetRequest("f", 0, 1), request_id=1)
         decoder = FrameDecoder()
-        decoder.feed(frame[:-1])
-        assert decoder.next_frame() is None
+        assert deliver(decoder, frame[:-1]) == []
         assert decoder.pending == len(frame) - 1
-        decoder.feed(frame[-1:])
-        assert decoder.next_frame() == frame[4:]
+        assert deliver(decoder, frame[-1:]) == [frame[4:]]
         assert decoder.pending == 0
+
+    def test_a_large_frame_behind_a_small_one_in_the_same_read(self):
+        small = encode_request(HealthRequest(), request_id=1)
+        large = encode_request(PutRequest("f", 0, b"\x5a" * MIB), request_id=2)
+        decoder = FrameDecoder()
+        payloads = deliver(decoder, small + large + small)
+        assert payloads == [small[4:], large[4:], small[4:]]
+        # grown once, to exactly the frame that did not fit
+        assert capacity(decoder) == len(large)
+
+    def test_the_buffer_is_bounded_and_reused(self):
+        frame = encode_response(GetResponse(b"\xc3" * MIB, True, 16, 0), request_id=1)
+        decoder = FrameDecoder()
+        assert deliver(decoder, frame) == [frame[4:]]
+        buffer = decoder.get_buffer(-1).obj
+        assert len(buffer) == len(frame)
+        for _ in range(100):
+            assert deliver(decoder, frame) == [frame[4:]]
+            assert decoder.get_buffer(-1).obj is buffer
+        # the largest frame there is: the prefix on top of MAX_FRAME, no more
+        largest = encode_request(
+            PutRequest("", 0, b"\x00" * (MAX_FRAME - 19)), request_id=1
+        )
+        assert len(largest) == MAX_FRAME + PREFIX
+        assert deliver(decoder, largest) == [largest[4:]]
+        assert capacity(decoder) == MAX_FRAME + PREFIX <= MAX_FRAME + PREFIX + INITIAL
 
     @pytest.mark.parametrize("length", [0, 8, MAX_FRAME + 1, 2**32 - 1])
     def test_bad_length_prefix_raises_and_keeps_raising(self, length):
         decoder = FrameDecoder()
-        decoder.feed(encode_request(HealthRequest(), request_id=1))
-        decoder.feed(length.to_bytes(4, "big") + b"garbage")
-        assert decoder.next_frame() is not None  # the good frame before it
+        good = encode_request(HealthRequest(), request_id=1)
+        with pytest.raises(ProtocolError):
+            deliver(decoder, good + length.to_bytes(4, "big") + b"garbage")
+        assert decoder.pending == 4 + len(b"garbage")  # the good frame came out
         for _ in range(2):
             with pytest.raises(ProtocolError):
                 decoder.next_frame()
+            # a bad prefix sizes nothing: receiving goes on in the same buffer
+            assert len(decoder.get_buffer(-1)) > 0
+            assert capacity(decoder) <= MAX_FRAME + PREFIX
 
     def test_a_trickling_16_mib_frame_is_not_recopied(self):
         chunk = 16 * 1024
@@ -347,15 +434,13 @@ class TestFrameDecoder:
             decoder = FrameDecoder()
             now = WallClock().now
             began = now()
-            for start in range(0, len(data), chunk):
-                decoder.feed(data[start:start + chunk])
-                payload = decoder.next_frame()
+            (payload,) = deliver(decoder, data, [chunk] * (len(data) // chunk + 1))
             elapsed = now() - began
             assert payload == data[4:]
             return elapsed
 
-        # 1 024 chunks.  Re-copying the buffer per chunk would move 8 GiB
-        # (seconds); one append per chunk moves 16 MiB.  Compare with a
+        # 1 024 reads.  Moving the buffer per read would move 8 GiB
+        # (seconds); receiving in place moves 16 MiB.  Compare with a
         # frame a quarter the size: linear cost is ~4x, quadratic ~16x.
         quarter = encode_request(
             PutRequest("big", 0, b"\xa5" * (MAX_FRAME // 4)), request_id=1
@@ -364,3 +449,62 @@ class TestFrameDecoder:
         large = min(trickle(frame) for _ in range(3))
         assert large < 10 * small + 0.05
         assert large < 1.0
+
+
+def receive(decoder: FrameDecoder, data: bytes) -> memoryview | None:
+    """One read of ``data``; the first payload it completes, still borrowed."""
+    room = decoder.get_buffer(-1)
+    room[:len(data)] = data
+    decoder.buffer_updated(len(data))
+    return decoder.next_frame()
+
+
+class TestBorrowedPayloads:
+    """``next_frame`` lends a view of the receive buffer; the codec copies
+    out what a message keeps."""
+
+    def test_a_view_is_good_until_the_next_get_buffer_even_across_growth(self):
+        small = encode_request(GetRequest("held", 7, 9), request_id=1)
+        large = encode_request(PutRequest("f", 0, b"\x77" * MIB), request_id=2)
+        decoder = FrameDecoder()
+        # the large frame's prefix rides along with the small frame
+        held = receive(decoder, small + large[:1000])
+        assert decoder.next_frame() is None
+        # the next get_buffer replaces the buffer; the view keeps the old one
+        # alive and unchanged (this is as far as the guarantee goes)
+        assert capacity(decoder) == len(large)
+        assert held == small[4:]
+        assert decode_request(held) == (1, GetRequest("held", 7, 9))
+        # and views taken after the growth read the new buffer
+        assert receive(decoder, large[1000:]) == large[4:]
+
+    def test_compaction_is_why_the_view_is_only_borrowed(self):
+        page = bytes(range(256)) * 200  # 50 KiB: five fit, the sixth straddles
+        frames = [
+            encode_request(PutRequest("f", i, page), request_id=i) for i in range(6)
+        ]
+        stream = b"".join(frames)
+        decoder = FrameDecoder()
+        first = receive(decoder, stream[:INITIAL])
+        assert first == frames[0][4:]
+        assert len(_drain(decoder)) == 4 and decoder.pending
+        decoder.get_buffer(-1)  # moves the torn sixth frame to the front
+        assert first != frames[0][4:]
+
+    def test_a_decoded_put_owns_its_page(self):
+        frame = encode_request(PutRequest("f", 3, b"\x11" * 4096), request_id=5)
+        decoder = FrameDecoder()
+        payload = receive(decoder, frame)
+        request_id, request = decode_request(payload)
+        payload[:] = bytes(len(payload))  # the receive buffer is overwritten
+        assert (request_id, request) == (5, PutRequest("f", 3, b"\x11" * 4096))
+        assert type(request.data) is bytes and type(request.file_id) is str
+
+    def test_a_decoded_get_reply_owns_its_data(self):
+        frame = encode_response(GetResponse(b"\x22" * 4096, True, 1, 0), request_id=6)
+        decoder = FrameDecoder()
+        payload = receive(decoder, frame)
+        _, response = decode_response(payload)
+        payload[:] = bytes(len(payload))
+        assert response == GetResponse(b"\x22" * 4096, True, 1, 0)
+        assert type(response.data) is bytes

@@ -16,6 +16,7 @@ from repro.ports.clock import WallClock
 from repro.service.client import AsyncCacheClient, CacheClientPool
 from repro.service.server import CacheServer, build_engine
 from repro.storage.remote import SyntheticDataSource
+from tests.service.rawpeer import open_raw
 
 KIB = 1024
 PAGE = 16 * KIB
@@ -144,9 +145,7 @@ class TestErrorFrames:
         from repro.service import protocol as wire
 
         async def scenario(server, engine):
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
+            reader, writer = await open_raw(server.host, server.port)
             try:
                 frame = bytearray(
                     wire.encode_request(wire.HealthRequest(), request_id=5)
@@ -154,8 +153,7 @@ class TestErrorFrames:
                 frame[4] = 0x7E  # unknown opcode
                 writer.write(bytes(frame))
                 await writer.drain()
-                payload = await wire.read_frame(reader)
-                return wire.decode_response(payload)
+                return await reader.next_reply()
             finally:
                 writer.close()
                 await writer.wait_closed()
