@@ -35,20 +35,15 @@ class Allocator(Protocol):
 
 class _BaseAllocator:
     def __init__(self, config: CacheConfig, metastore: PageMetaStore) -> None:
-        self._config = config
         self._metastore = metastore
-
-    def _free_bytes(self, directory: int) -> int:
-        capacity = self._config.directories[directory].capacity_bytes
-        return capacity - self._metastore.bytes_in_dir(directory)
-
-    def _fits_somewhere(self, size: int) -> bool:
-        return any(d.capacity_bytes >= size for d in self._config.directories)
+        # read once: every put asks, and the directories do not change
+        self._capacities = [d.capacity_bytes for d in config.directories]
+        self._largest = max(self._capacities)
 
     def _emptiest(self) -> int:
         return max(
-            range(len(self._config.directories)),
-            key=lambda i: self._free_bytes(i),
+            range(len(self._capacities)),
+            key=lambda i: self._capacities[i] - self._metastore.bytes_in_dir(i),
         )
 
 
@@ -60,10 +55,12 @@ class AffinityAllocator(_BaseAllocator):
     """
 
     def allocate(self, file_id: str, size: int) -> int | None:
-        if not self._fits_somewhere(size):
+        if size > self._largest:
             return None
-        preferred = zlib.crc32(file_id.encode("utf-8")) % len(self._config.directories)
-        if self._config.directories[preferred].capacity_bytes >= size:
+        count = len(self._capacities)
+        # with one directory there is nothing to hash onto
+        preferred = zlib.crc32(file_id.encode("utf-8")) % count if count > 1 else 0
+        if self._capacities[preferred] >= size:
             return preferred
         return self._emptiest()
 
@@ -72,10 +69,10 @@ class MaxFreeAllocator(_BaseAllocator):
     """Always pick the directory with the most free space."""
 
     def allocate(self, file_id: str, size: int) -> int | None:
-        if not self._fits_somewhere(size):
+        if size > self._largest:
             return None
         candidate = self._emptiest()
-        if self._config.directories[candidate].capacity_bytes < size:
+        if self._capacities[candidate] < size:
             return None
         return candidate
 
@@ -88,10 +85,10 @@ class RoundRobinAllocator(_BaseAllocator):
         self._cursor = 0
 
     def allocate(self, file_id: str, size: int) -> int | None:
-        total = len(self._config.directories)
+        total = len(self._capacities)
         for step in range(total):
             index = (self._cursor + step) % total
-            if self._config.directories[index].capacity_bytes >= size:
+            if self._capacities[index] >= size:
                 self._cursor = (index + 1) % total
                 return index
         return None

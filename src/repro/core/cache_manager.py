@@ -6,7 +6,7 @@ read/write workflow:
 1. **Admission controller** decides whether an access is cache-worthy;
    declined data takes the non-cache read path to the external source.
 2. **Page translation** turns file-level positional reads into page-level
-   operations (:func:`~repro.core.page.pages_for_range`).
+   operations (one step per page, :meth:`LocalCacheManager._walk`).
 3. **Cache hit** -- the page store serves the bytes; a read that exceeds
    the configured timeout or fails its checksum *falls back to the remote
    source* (Section 8), with corruption additionally triggering early
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.admission.base import AdmissionPolicy, AdmitAll
@@ -36,8 +37,8 @@ from repro.core.allocator import make_allocator
 from repro.core.config import CacheConfig
 from repro.core.eviction import make_eviction_policy
 from repro.core.metastore import PageMetaStore
-from repro.core.metrics import MetricsRegistry
-from repro.core.page import PageId, PageInfo, pages_for_range
+from repro.core.metrics import Counter, Histogram, MetricsRegistry
+from repro.core.page import PageId, PageInfo
 from repro.core.pagestore.memory import MemoryPageStore
 from repro.core.quota import QuotaManager
 from repro.core.scope import CacheScope
@@ -53,7 +54,11 @@ from repro.ports.rng import RngStream
 
 if TYPE_CHECKING:
     from repro.ports.concurrency import SchedulerPort
-    from repro.storage.remote import DataSource, ReadResult
+    from repro.storage.remote import DataSource
+
+
+_GLOBAL_SCOPE = CacheScope.global_scope()
+_STORE_READ_ERRORS = (CacheReadTimeoutError, PageCorruptedError, PageNotFoundError)
 
 
 @dataclass(slots=True)
@@ -75,13 +80,6 @@ class CacheReadResult:
     @property
     def fully_cached(self) -> bool:
         return self.page_misses == 0 and self.fallbacks == 0
-
-
-@dataclass(slots=True)
-class _PutOutcome:
-    admitted: bool
-    reason: str = "ok"
-    evicted_pages: int = 0
 
 
 class LocalCacheManager:
@@ -136,6 +134,18 @@ class LocalCacheManager:
         self._stripes = [
             threading.RLock() for __ in range(self.config.lock_stripes)
         ]
+        # looked up once, not per page: what the store and the admission
+        # policy declare, and the well-known counters reads and puts move
+        self._store_models_latency = hasattr(self.page_store, "last_op_latency")
+        self._serves_resident = getattr(
+            type(self.page_store), "nonblocking_reads", False
+        ) and getattr(type(self.admission), "stateless", False)
+        counter = self.metrics.counter
+        self._hits, self._misses = counter("get_hits"), counter("get_misses")
+        self._cache_bytes = counter("bytes_read_cache")
+        self._remote_bytes = counter("bytes_read_remote")
+        self._puts, self._evictions = counter("puts"), counter("evictions")
+        self._evicted_bytes = counter("evicted_bytes")
         if event_loop is not None:
             event_loop.schedule_periodic(
                 self.config.ttl_check_interval, self.ttl_sweep
@@ -158,8 +168,10 @@ class LocalCacheManager:
     def contains(self, page_id: PageId) -> bool:
         return page_id in self.metastore
 
-    def _stripe(self, page_id: PageId) -> threading.RLock:
-        return self._stripes[hash(page_id) % len(self._stripes)]
+    @cached_property
+    def _read_latency(self) -> Histogram:
+        """Bound on first use: a cache that never read shows no histogram."""
+        return self.metrics.histogram("read_latency_seconds")
 
     # ------------------------------------------------------------------ reads
 
@@ -180,62 +192,59 @@ class LocalCacheManager:
         (caching the full page when admission, quota, and space permit).
         Reads past end-of-file are truncated, mirroring ranged GETs.
         """
+        if offset < 0 or length < 0 or not file_id:
+            raise ValueError(f"bad read of {file_id!r}: {offset=} {length=}")
         tracer = current_tracer()
-        with tracer.span(
-            "cache_read", actor=self.metrics.name,
-            file_id=file_id, offset=offset, length=length,
-        ) as span:
-            result = self._read(file_id, offset, length, source, scope, ttl, span)
-            span.annotate("latency", result.latency)
-            span.annotate("page_hits", result.page_hits)
-            span.annotate("page_misses", result.page_misses)
-            self.metrics.histogram("read_latency_seconds").observe(
-                result.latency, exemplar=span.span_id or None
+        span = None  # with tracing off no span is opened and no charge made
+        if tracer.enabled:
+            span = tracer.span(
+                "cache_read", actor=self.metrics.name,
+                file_id=file_id, offset=offset, length=length,
             )
+        try:
+            if scope is None:
+                scope = _GLOBAL_SCOPE
+            result = CacheReadResult(b"")
+            file_length = source.file_length(file_id)
+            if offset < file_length:
+                end = min(offset + length, file_length)
+                now = self.clock.now()
+                if self.admission.admit(file_id, scope, now):
+                    self._walk(
+                        file_id, offset, end, now, result,
+                        source, scope, ttl, file_length, span,
+                    )
+                else:
+                    # Non-cache read path (Figure 3): straight to the source.
+                    self.metrics.counter("put_rejected_admission").inc()
+                    if span is not None:
+                        span.event("admission_bypass")
+                    remote = source.read(file_id, offset, end - offset)
+                    if span is not None:
+                        self._charge_remote(span, source, remote.latency)
+                    size = self.config.page_size
+                    pages = (end - 1) // size - offset // size + 1 if end > offset else 0
+                    result.data = remote.data
+                    result.latency = remote.latency
+                    result.bytes_from_remote = len(remote.data)
+                    result.page_misses = pages
+                    self._misses.inc(pages)
+                    self._remote_bytes.inc(len(remote.data))
+            if span is None:
+                self._read_latency.observe(result.latency)
+            else:
+                span.annotate("latency", result.latency)
+                span.annotate("page_hits", result.page_hits)
+                span.annotate("page_misses", result.page_misses)
+                self._read_latency.observe(result.latency, span.span_id)
             return result
-
-    def _read(
-        self,
-        file_id: str,
-        offset: int,
-        length: int,
-        source: DataSource,
-        scope: CacheScope | None,
-        ttl: float | None,
-        span,
-    ) -> CacheReadResult:
-        scope = scope if scope is not None else CacheScope.global_scope()
-        file_length = source.file_length(file_id)
-        if offset >= file_length:
-            return CacheReadResult(data=b"")
-        length = min(length, file_length - offset)
-        result = CacheReadResult(data=b"")
-        chunks: list[bytes] = []
-        now = self.clock.now()
-
-        if not self.admission.admit(file_id, scope, now):
-            # Non-cache read path (Figure 3): straight to the data source.
-            self.metrics.counter("put_rejected_admission").inc()
-            span.event("admission_bypass")
-            remote = source.read(file_id, offset, length)
-            self._charge_remote(span, source, remote.latency)
-            result.latency += remote.latency
-            result.bytes_from_remote += len(remote.data)
-            result.page_misses += self._page_span(offset, length)
-            self.metrics.counter("get_misses").inc(self._page_span(offset, length))
-            self.metrics.counter("bytes_read_remote").inc(len(remote.data))
-            result.data = remote.data
-            return result
-
-        for page_id, in_page, take in pages_for_range(
-            file_id, offset, length, self.config.page_size
-        ):
-            fragment = self._read_fragment(
-                page_id, in_page, take, source, scope, ttl, file_length, result
-            )
-            chunks.append(fragment)
-        result.data = b"".join(chunks)
-        return result
+        except BaseException as exc:
+            if span is not None:  # what `with span:` records
+                span.annotate("error", type(exc).__name__)
+            raise
+        finally:
+            if span is not None:
+                span.finish()
 
     @staticmethod
     def _charge_remote(span, source: DataSource, remote_latency: float) -> None:
@@ -253,111 +262,139 @@ class LocalCacheManager:
         span.charge("queueing", wait)
         span.charge("remote", remote_latency - backoff - wait)
 
-    def _page_span(self, offset: int, length: int) -> int:
-        if length <= 0:
-            return 0
-        first = offset // self.config.page_size
-        last = (offset + length - 1) // self.config.page_size
-        return last - first + 1
+    def _walk(
+        self, file_id: str, position: int, end: int, now: float,
+        result: CacheReadResult, source: DataSource | None = None,
+        scope: CacheScope | None = None, ttl: float | None = None,
+        file_length: int = 0, span=None,
+    ) -> bool:
+        """The per-page step of :meth:`read` and :meth:`read_resident`
+        (DESIGN.md §15.1).
 
-    def _read_fragment(
-        self,
-        page_id: PageId,
-        in_page: int,
-        take: int,
-        source: DataSource,
-        scope: CacheScope,
-        ttl: float | None,
-        file_length: int,
-        result: CacheReadResult,
-    ) -> bytes:
-        info = self.metastore.get(page_id)
-        if info is not None:
-            data = self._read_cached(page_id, info, in_page, take, source, result)
-            if data is not None:
-                return data
-            # fell through: timeout/corruption fallback already fetched below
-        return self._read_through(
-            page_id, in_page, take, source, scope, ttl, file_length, result
-        )
-
-    def _read_cached(
-        self,
-        page_id: PageId,
-        info: PageInfo,
-        in_page: int,
-        take: int,
-        source: DataSource,
-        result: CacheReadResult,
-    ) -> bytes | None:
-        """Serve a hit; on timeout/corruption return ``None`` to trigger the
-        remote fallback path."""
-        try:
-            with self._stripe(page_id):
-                data = self.page_store.get(
-                    page_id, info.directory, in_page, take,
-                    timeout=self.config.read_timeout,
+        For each page of ``[position, end)``: find its record once, read
+        the fragment under the page's stripe, remember the hit.  Hits are
+        booked in runs (:meth:`_book_hits`, one ``_meta_lock`` hold each):
+        before anything that may evict and when the walk ends, so the
+        policy sees accesses in page order.  A page that is not resident,
+        or whose store read fails (:meth:`_hit_failed`), is read through
+        ``source`` and put; without a ``source`` (the resident read) either
+        ends the walk with ``False``, nothing booked, no counter moved.
+        """
+        page_size = self.config.page_size
+        timeout = self.config.read_timeout
+        lookup = self.metastore.get
+        store_get = self.page_store.get
+        stripes = self._stripes
+        models_latency = self._store_models_latency
+        # PageId(file_id, index) minus its validating frame: offsets are
+        # checked >= 0 on entry, and an empty file id matches no record
+        new_page_id = tuple.__new__
+        chunks: list[bytes] = []
+        hits: list[tuple[PageInfo, int]] = []  # read, not yet booked
+        while position < end:
+            index = position // page_size
+            in_page = position - index * page_size
+            take = min(page_size - in_page, end - position)
+            page_id = new_page_id(PageId, (file_id, index))
+            info = lookup(page_id)
+            data = None
+            if info is not None:
+                if source is None and info.size < page_size:
+                    # a short page is the file's last (the read-through
+                    # below keeps that so): its size stands in for EOF
+                    end = min(end, position - in_page + info.size)
+                    take = end - position
+                    if take <= 0:
+                        return False  # starts at or past end-of-file
+                try:
+                    with stripes[hash(page_id) % len(stripes)]:
+                        data = store_get(
+                            page_id, info.directory, in_page, take, timeout=timeout
+                        )
+                except _STORE_READ_ERRORS as exc:
+                    failure = exc  # handled below; `data` stays None
+                else:
+                    hits.append((info, len(data)))
+                    if models_latency:
+                        latency = self.page_store.last_op_latency
+                        result.latency += latency
+                        if span is not None:
+                            wait = getattr(self.page_store, "last_op_wait", 0.0)
+                            span.charge("queueing", wait)
+                            span.charge(self._hit_bucket, latency - wait)
+            if data is None:
+                if source is None:
+                    return False  # `read` repeats it, and does any repair
+                if hits:
+                    self._book_hits(hits, now, result)
+                if info is not None:
+                    self._hit_failed(page_id, failure, result, span)
+                # miss: fetch the whole page remotely, try to cache it
+                page_offset = index * page_size
+                remote = source.read(
+                    file_id, page_offset, min(page_size, file_length - page_offset)
                 )
-        except CacheReadTimeoutError as exc:
-            # Section 8 "file read hanging": fall back to remote storage,
-            # keep the cached entry (the data is fine, the device stalled).
-            self.metrics.counter("timeout_fallbacks").inc()
-            self.metrics.record_error("get", exc)
-            current_tracer().current().event("timeout_fallback")
-            result.fallbacks += 1
-            return None
-        except PageCorruptedError as exc:
-            # Section 8 "corrupted files": early-evict the bad entry.
-            self.metrics.counter("corruption_evictions").inc()
-            self.metrics.record_error("get", exc)
-            current_tracer().current().event("corruption_fallback")
-            self.delete_page(page_id)
-            result.fallbacks += 1
-            return None
-        except PageNotFoundError as exc:
+                data = remote.data
+                if span is not None:
+                    self._charge_remote(span, source, remote.latency)
+                result.latency += remote.latency
+                result.page_misses += 1
+                result.bytes_from_remote += len(data)
+                self._misses.value += 1
+                self._remote_bytes.value += len(data)
+                self.put_page(page_id, data, scope=scope, ttl=ttl, pre_admitted=True)
+                data = data[in_page : in_page + take]
+            chunks.append(data)
+            position += take
+        if hits:
+            self._book_hits(hits, now, result)
+        # a one-page read hands the store's (or the source's) bytes on as is
+        result.data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        return True
+
+    def _book_hits(
+        self, hits: list[tuple[PageInfo, int]], now: float, result: CacheReadResult
+    ) -> None:
+        """Apply what a run of hits changes, and empty the run."""
+        policies = self._policies
+        nbytes = 0
+        with self._meta_lock:
+            for info, size in hits:
+                info.last_access = now  # PageInfo.touch, without the frame
+                info.access_count += 1
+                policies[info.directory].on_access(info.page_id)
+                nbytes += size
+        # plain attribute adds: a frame per counter was a fifth of a hit
+        self._hits.value += len(hits)
+        self._cache_bytes.value += nbytes
+        result.page_hits += len(hits)
+        result.bytes_from_cache += nbytes
+        hits.clear()
+
+    def _hit_failed(
+        self, page_id: PageId, exc: Exception, result: CacheReadResult, span
+    ) -> None:
+        """A resident page's store read raised (Section 8); whichever way,
+        the caller goes on to read the page from the remote source."""
+        self.metrics.record_error("get", exc)
+        if isinstance(exc, PageNotFoundError):
             # Metadata said present but payload is gone (lost device);
             # repair metadata and treat as a miss.
-            self.metrics.record_error("get", exc)
-            self._forget(page_id)
-            return None
-        with self._meta_lock:
-            info.touch(self.clock.now())
-            self._policies[info.directory].on_access(page_id)
-        self.metrics.counter("get_hits").inc()
-        self.metrics.counter("bytes_read_cache").inc(len(data))
-        latency = getattr(self.page_store, "last_op_latency", 0.0)
-        wait = getattr(self.page_store, "last_op_wait", 0.0)
-        span = current_tracer().current()
-        span.charge("queueing", wait)
-        span.charge(self._hit_bucket, latency - wait)
-        result.latency += latency
-        result.page_hits += 1
-        result.bytes_from_cache += len(data)
-        return data
-
-    def _read_through(
-        self,
-        page_id: PageId,
-        in_page: int,
-        take: int,
-        source: DataSource,
-        scope: CacheScope,
-        ttl: float | None,
-        file_length: int,
-        result: CacheReadResult,
-    ) -> bytes:
-        """Miss path: fetch the whole page remotely, try to cache it."""
-        page_offset = page_id.page_index * self.config.page_size
-        page_length = min(self.config.page_size, file_length - page_offset)
-        remote: ReadResult = source.read(page_id.file_id, page_offset, page_length)
-        self._charge_remote(current_tracer().current(), source, remote.latency)
-        result.latency += remote.latency
-        result.page_misses += 1
-        result.bytes_from_remote += len(remote.data)
-        self.metrics.counter("get_misses").inc()
-        self.metrics.counter("bytes_read_remote").inc(len(remote.data))
-        self.put_page(page_id, remote.data, scope=scope, ttl=ttl, pre_admitted=True)
-        return remote.data[in_page : in_page + take]
+            with self._meta_lock:
+                info = self.metastore.remove(page_id)
+                if info is not None:
+                    self._policies[info.directory].on_delete(page_id)
+            return
+        # "corrupted files": early-evict the bad entry.  "file read
+        # hanging": keep it (the data is fine, the device stalled).
+        corrupted = isinstance(exc, PageCorruptedError)
+        counter = "corruption_evictions" if corrupted else "timeout_fallbacks"
+        self.metrics.counter(counter).inc()
+        if span is not None:
+            span.event("corruption_fallback" if corrupted else "timeout_fallback")
+        if corrupted:
+            self.delete_page(page_id)
+        result.fallbacks += 1
 
     def read_resident(
         self,
@@ -372,73 +409,31 @@ class LocalCacheManager:
         Answers only when every page of the range is in the metastore *and*
         the page store declares ``nonblocking_reads`` (a class-level fact;
         a store that says nothing is treated as blocking).  It has no path
-        to a ``DataSource``: a resident page shorter than the page size is
-        the file's last page (the invariant of :meth:`_read_through`), so
-        its stored size gives the end-of-file truncation ``read`` takes
-        from ``file_length``.  The only waits are the metadata lock and the
-        page stripes, which over such a store guard dict updates.
+        to a ``DataSource``: :meth:`_walk` without one takes end-of-file
+        from the last page's stored size and changes nothing until every
+        page's bytes are in hand.  The only waits are the metadata lock and
+        the page stripes, which over such a store guard dict updates.
 
-        Two phases.  The first collects every page's bytes and changes
-        nothing; on any absence, store error or admission refusal the
-        answer is ``None`` and the caller falls back to :meth:`read` with
-        nothing counted twice.  Only then does the second apply what
-        ``read`` applies per hit (``touch``, ``on_access``, ``get_hits``,
-        ``bytes_read_cache``, ``read_latency_seconds``).  Admission is
-        asked only when the policy declares ``stateless``: any other may
-        count the access, and the fallback would make it count twice.
+        On any absence, store error or admission refusal the answer is
+        ``None`` and the caller falls back to :meth:`read` with nothing
+        counted twice.  Admission is asked only when the policy declares
+        ``stateless``: any other may count the access, and the fallback
+        would make it count twice.
         """
-        store = self.page_store
-        if not (
-            getattr(type(store), "nonblocking_reads", False)
-            and getattr(type(self.admission), "stateless", False)
-        ):
+        if not self._serves_resident:
             return None
-        page_size = self.config.page_size
-        timeout = self.config.read_timeout
-        infos: list[PageInfo] = []
-        chunks: list[bytes] = []
-        # not pages_for_range: `length` is the caller's, not yet cut to the
-        # file (it may be 4 GiB), so walk lazily and stop at the first gap
-        position, end = offset, offset + length
-        while position < end:
-            index = position // page_size
-            in_page = position - index * page_size
-            page_id = PageId(file_id, index)
-            info = self.metastore.get(page_id)
-            if info is None:
-                return None
-            take = min(info.size - in_page, end - position)
-            if take <= 0:
-                return None  # starts at or past end-of-file: `read` knows
-            try:
-                with self._stripe(page_id):
-                    data = store.get(
-                        page_id, info.directory, in_page, take, timeout=timeout
-                    )
-            except (PageNotFoundError, PageCorruptedError, CacheReadTimeoutError):
-                return None  # `read` repeats it and does the repair
-            infos.append(info)
-            chunks.append(data)
-            if info.size < page_size:
-                break  # the short page is the last one; the rest is past EOF
-            position += take
+        if offset < 0 or length < 0 or not file_id:
+            raise ValueError(f"bad read of {file_id!r}: {offset=} {length=}")
         now = self.clock.now()
-        if not infos or not self.admission.admit(
-            file_id, scope if scope is not None else CacheScope.global_scope(), now
+        if length == 0 or not self.admission.admit(
+            file_id, scope if scope is not None else _GLOBAL_SCOPE, now
         ):
             return None
-        with self._meta_lock:
-            for info in infos:
-                info.touch(now)
-                self._policies[info.directory].on_access(info.page_id)
-        data = b"".join(chunks)
-        self.metrics.counter("get_hits").inc(len(infos))
-        self.metrics.counter("bytes_read_cache").inc(len(data))
-        # a store whose reads do not block models no latency either
-        self.metrics.histogram("read_latency_seconds").observe(0.0)
-        return CacheReadResult(
-            data=data, page_hits=len(infos), bytes_from_cache=len(data)
-        )
+        result = CacheReadResult(b"")
+        if not self._walk(file_id, offset, offset + length, now, result):
+            return None
+        self._read_latency.observe(result.latency)
+        return result
 
     def prefetch_file(
         self,
@@ -478,104 +473,79 @@ class LocalCacheManager:
         then the page-store write (with the ENOSPC early-eviction retry of
         Section 8).
         """
-        scope = scope if scope is not None else CacheScope.global_scope()
+        scope = scope if scope is not None else _GLOBAL_SCOPE
         now = self.clock.now()
         if not pre_admitted and not self.admission.admit(page_id.file_id, scope, now):
             self.metrics.counter("put_rejected_admission").inc()
             return False
-        with self._meta_lock:
-            outcome = self._admit(page_id, data, scope, ttl, now)
-        if outcome.admitted:
-            self.metrics.counter("puts").inc()
-        return outcome.admitted
-
-    def _admit(
-        self,
-        page_id: PageId,
-        data: bytes,
-        scope: CacheScope,
-        ttl: float | None,
-        now: float,
-    ) -> _PutOutcome:
         size = len(data)
         if size > self.config.page_size:
             raise ValueError(
                 f"payload of {size} bytes exceeds page size {self.config.page_size}"
             )
-        if page_id in self.metastore:
-            return _PutOutcome(admitted=True, reason="already-cached")
-        if size == 0:
-            return _PutOutcome(admitted=False, reason="empty")
+        metastore, quota, rejected = self.metastore, self.quota, self.metrics.counter
+        with self._meta_lock:
+            if page_id in metastore:
+                self._puts.value += 1  # already cached counts as a put
+                return True
+            if size == 0:
+                return False
 
-        # Quota verification, finest level first (Section 5.2).
-        if not self.quota.fits_eventually(scope, size):
-            self.metrics.counter("put_rejected_quota").inc()
-            return _PutOutcome(admitted=False, reason="quota-impossible")
-        for violation in self.quota.check(scope, size, self.metastore):
-            for victim in self.quota.plan_eviction(violation, self.metastore, self.rng):
-                self._evict(victim.page_id)
-        if self.quota.check(scope, size, self.metastore):
-            self.metrics.counter("put_rejected_quota").inc()
-            return _PutOutcome(admitted=False, reason="quota")
+            # Quota verification, finest level first (Section 5.2).
+            if not quota.fits_eventually(scope, size):
+                rejected("put_rejected_quota").inc()
+                return False
+            violations = quota.check(scope, size, metastore)
+            if violations:
+                for violation in violations:
+                    for victim in quota.plan_eviction(violation, metastore, self.rng):
+                        self._delete(victim.page_id, self._evictions)
+                if quota.check(scope, size, metastore):
+                    rejected("put_rejected_quota").inc()
+                    return False
 
-        directory = self._ensure_space(page_id.file_id, size)
-        if directory is None:
-            self.metrics.counter("put_rejected_space").inc()
-            return _PutOutcome(admitted=False, reason="space")
+            # Allocate a directory, evicting until the page fits.
+            directory = self._allocator.allocate(page_id.file_id, size)
+            if directory is None:
+                rejected("put_rejected_space").inc()
+                return False
+            policy = self._policies[directory]
+            capacity = self.config.directories[directory].capacity_bytes
+            guard = len(metastore) + 1
+            while capacity - metastore.bytes_in_dir(directory) < size:
+                victim = policy.victim()
+                if victim is None or guard <= 0:
+                    rejected("put_rejected_space").inc()
+                    return False
+                self._delete(victim, self._evictions)
+                guard -= 1
 
-        ttl = ttl if ttl is not None else self.config.default_ttl
-        info = PageInfo(
-            page_id=page_id,
-            size=size,
-            scope=scope,
-            directory=directory,
-            created_at=now,
-            ttl=ttl,
-        )
-        try:
-            with self._stripe(page_id):
-                self.page_store.put(page_id, data, directory)
-        except NoSpaceLeftError as exc:
-            # Section 8 "insufficient disk capacity": early eviction, retry.
-            self.metrics.record_error("put", exc)
-            self._early_evict(directory)
-            try:
-                with self._stripe(page_id):
-                    self.page_store.put(page_id, data, directory)
-            except NoSpaceLeftError as retry_exc:
-                self.metrics.record_error("put", retry_exc)
-                self.metrics.counter("put_rejected_space").inc()
-                return _PutOutcome(admitted=False, reason="enospc")
-        self.metastore.add(info)
-        self._policies[directory].on_put(page_id)
-        return _PutOutcome(admitted=True)
-
-    def _ensure_space(self, file_id: str, size: int) -> int | None:
-        """Allocate a directory, evicting until the page fits."""
-        directory = self._allocator.allocate(file_id, size)
-        if directory is None:
-            return None
-        capacity = self.config.directories[directory].capacity_bytes
-        guard = len(self.metastore) + 1
-        while capacity - self.metastore.bytes_in_dir(directory) < size:
-            victim = self._policies[directory].victim()
-            if victim is None or guard <= 0:
-                return None
-            self._evict(victim)
-            guard -= 1
-        return directory
-
-    def _early_evict(self, directory: int) -> None:
-        """Reclaim a batch from ``directory`` before configured capacity."""
-        for __ in range(self.config.eviction_batch):
-            victim = self._policies[directory].victim()
-            if victim is None:
-                return
-            self._evict(victim)
-
-    def _evict(self, page_id: PageId) -> None:
-        if self._delete(page_id):
-            self.metrics.counter("evictions").inc()
+            info = PageInfo(
+                page_id, size, scope, directory, now, now, 0,
+                ttl if ttl is not None else self.config.default_ttl,
+            )
+            stripe = self._stripes[hash(page_id) % len(self._stripes)]
+            for retried in (False, True):
+                try:
+                    with stripe:
+                        self.page_store.put(page_id, data, directory)
+                    break
+                except NoSpaceLeftError as exc:
+                    # Section 8 "insufficient disk capacity": reclaim a batch
+                    # before configured capacity, retry once.
+                    self.metrics.record_error("put", exc)
+                    if retried:
+                        rejected("put_rejected_space").inc()
+                        return False
+                    for __ in range(self.config.eviction_batch):
+                        victim = policy.victim()
+                        if victim is None:
+                            break
+                        self._delete(victim, self._evictions)
+            metastore.add(info)
+            policy.on_put(page_id)
+            self._puts.value += 1
+            return True
 
     # ------------------------------------------------------------------ deletes
 
@@ -587,45 +557,37 @@ class LocalCacheManager:
     def delete_file(self, file_id: str) -> int:
         """Remove every page of one file; returns pages removed."""
         with self._meta_lock:
-            infos = self.metastore.pages_of_file(file_id)
-            for info in list(infos):
-                self._delete(info.page_id)
-            return len(infos)
+            return self._delete_all(self.metastore.pages_of_file(file_id))
 
     def delete_scope(self, scope: CacheScope) -> int:
         """Remove every page under a scope subtree (partition drop,
         Section 4.4); returns pages removed."""
         with self._meta_lock:
-            infos = self.metastore.pages_in_scope(scope)
-            for info in list(infos):
-                self._delete(info.page_id)
-            return len(infos)
+            return self._delete_all(self.metastore.pages_in_scope(scope))
 
     def delete_dir(self, directory: int) -> int:
         """Remove every page on one storage directory (faulty device,
         Section 4.4); returns pages removed."""
         with self._meta_lock:
-            infos = self.metastore.pages_in_dir(directory)
-            for info in list(infos):
-                self._delete(info.page_id)
-            return len(infos)
+            return self._delete_all(self.metastore.pages_in_dir(directory))
 
-    def _delete(self, page_id: PageId) -> bool:
+    def _delete_all(self, infos: list[PageInfo]) -> int:
+        for info in infos:
+            self._delete(info.page_id)
+        return len(infos)
+
+    def _delete(self, page_id: PageId, counter: Counter | None = None) -> bool:
+        """Drop one page everywhere; ``counter`` moves only if it was there."""
         info = self.metastore.remove(page_id)
         if info is None:
             return False
         self._policies[info.directory].on_delete(page_id)
-        self.metrics.counter("evicted_bytes").inc(info.size)
-        with self._stripe(page_id):
+        self._evicted_bytes.value += info.size
+        with self._stripes[hash(page_id) % len(self._stripes)]:
             self.page_store.delete(page_id, info.directory)
+        if counter is not None:
+            counter.value += 1
         return True
-
-    def _forget(self, page_id: PageId) -> None:
-        """Drop metadata for a page whose payload vanished."""
-        with self._meta_lock:
-            info = self.metastore.remove(page_id)
-            if info is not None:
-                self._policies[info.directory].on_delete(page_id)
 
     # ------------------------------------------------------------------ TTL
 
@@ -636,8 +598,7 @@ class LocalCacheManager:
         with self._meta_lock:
             expired = self.metastore.expired_pages(now)
             for info in expired:
-                if self._delete(info.page_id):
-                    self.metrics.counter("ttl_evictions").inc()
+                self._delete(info.page_id, self.metrics.counter("ttl_evictions"))
             return len(expired)
 
     # ------------------------------------------------------------------ misc

@@ -29,8 +29,10 @@ class LruPolicy:
         self._order.move_to_end(page_id)
 
     def on_access(self, page_id: PageId) -> None:
-        if page_id in self._order:
-            self._order.move_to_end(page_id)
+        try:
+            self._order.move_to_end(page_id)  # one lookup on every hit
+        except KeyError:
+            pass  # deleted between the read and its bookkeeping
 
     def on_delete(self, page_id: PageId) -> None:
         self._order.pop(page_id, None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
-K = TypeVar("K", bound=Hashable)
 
 
 class Index(Generic[T]):
@@ -25,6 +24,7 @@ class Index(Generic[T]):
     An index function may map an element to a single key or, via
     ``multi=True``, to an iterable of keys (used for scope indices where a
     page belongs to its partition scope *and* every ancestor scope).
+    ``weights`` holds the summed weight of each populated key's elements.
     """
 
     def __init__(
@@ -38,32 +38,11 @@ class Index(Generic[T]):
         self._key_fn = key_fn
         self._multi = multi
         self._buckets: dict[Hashable, set[int]] = {}
-
-    def _keys_for(self, element: T) -> tuple[Hashable, ...]:
-        raw = self._key_fn(element)
-        if self._multi:
-            return tuple(raw)  # type: ignore[arg-type]
-        return (raw,)
-
-    def _add(self, token: int, element: T) -> None:
-        for key in self._keys_for(element):
-            self._buckets.setdefault(key, set()).add(token)
-
-    def _remove(self, token: int, element: T) -> None:
-        for key in self._keys_for(element):
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                continue
-            bucket.discard(token)
-            if not bucket:
-                del self._buckets[key]
+        self.weights: dict[Hashable, int] = {}
 
     def keys(self) -> Iterator[Hashable]:
         """All distinct index keys currently populated."""
         return iter(self._buckets.keys())
-
-    def bucket_size(self, key: Hashable) -> int:
-        return len(self._buckets.get(key, ()))
 
 
 class IndexedSet(Generic[T]):
@@ -75,6 +54,12 @@ class IndexedSet(Generic[T]):
     which keep the indices consistent -- the invariant the property tests
     in ``tests/core/test_indexed_set.py`` verify.
 
+    An element's index keys and ``weight`` are read once, at ``add``, and
+    kept beside it in ``entries`` (primary key -> element, token, keys per
+    index, weight); removal debits the kept copy, so mutating an element
+    cannot strand its token in a bucket it no longer names.  The owning
+    store may read ``entries`` to answer ``get``/``in`` with one probe.
+
     >>> s = IndexedSet(primary=lambda x: x)
     >>> s.register_index(Index("parity", lambda x: x % 2))
     >>> for n in range(5):
@@ -83,12 +68,17 @@ class IndexedSet(Generic[T]):
     [0, 2, 4]
     """
 
-    def __init__(self, primary: Callable[[T], Hashable]) -> None:
+    def __init__(
+        self, primary: Callable[[T], Hashable], *,
+        weight: Callable[[T], int] = lambda element: 1,
+    ) -> None:
         self._primary = primary
+        self._weight = weight
+        self.entries: dict[Hashable, tuple[T, int, tuple, int]] = {}
         self._elements: dict[int, T] = {}
-        self._token_of: dict[Hashable, int] = {}
         self._next_token = 0
         self._indices: dict[str, Index[T]] = {}
+        self.total_weight = 0
 
     # -- index registration ------------------------------------------------
 
@@ -97,8 +87,9 @@ class IndexedSet(Generic[T]):
         if index.name in self._indices:
             raise ValueError(f"duplicate index name {index.name!r}")
         self._indices[index.name] = index
-        for token, element in self._elements.items():
-            index._add(token, element)
+        for key, (element, token, keys, weight) in self.entries.items():
+            keys += self._file((index,), element, token, weight)
+            self.entries[key] = (element, token, keys, weight)
 
     def index_names(self) -> list[str]:
         return list(self._indices)
@@ -106,34 +97,57 @@ class IndexedSet(Generic[T]):
     # -- set protocol --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._elements.values())
 
     def __contains__(self, element: T) -> bool:
-        return self._primary(element) in self._token_of
+        return self._primary(element) in self.entries
 
     def contains_key(self, primary_key: Hashable) -> bool:
-        return primary_key in self._token_of
+        return primary_key in self.entries
 
     def get(self, primary_key: Hashable) -> T | None:
         """Fetch an element by its primary key, or ``None``."""
-        token = self._token_of.get(primary_key)
-        return None if token is None else self._elements[token]
+        entry = self.entries.get(primary_key)
+        return None if entry is None else entry[0]
 
     def add(self, element: T) -> bool:
         """Insert; returns False (no-op) if the primary key already exists."""
         key = self._primary(element)
-        if key in self._token_of:
+        if key in self.entries:
             return False
         token = self._next_token
         self._next_token += 1
+        weight = self._weight(element)
+        keys = self._file(self._indices.values(), element, token, weight)
+        self.entries[key] = (element, token, keys, weight)
         self._elements[token] = element
-        self._token_of[key] = token
-        for index in self._indices.values():
-            index._add(token, element)
+        self.total_weight += weight
         return True
+
+    @staticmethod
+    def _file(
+        indices: Iterable[Index[T]], element: T, token: int, weight: int
+    ) -> tuple[tuple[Hashable, ...], ...]:
+        """File ``token`` in each index under the element's keys *as they
+        are now*; returns those keys, one tuple per index."""
+        captured = []
+        for index in indices:
+            raw = index._key_fn(element)
+            keys = tuple(dict.fromkeys(raw)) if index._multi else (raw,)
+            captured.append(keys)
+            buckets, weights = index._buckets, index.weights
+            for key in keys:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {token}
+                    weights[key] = weight
+                else:
+                    bucket.add(token)
+                    weights[key] += weight
+        return tuple(captured)
 
     def replace(self, element: T) -> T | None:
         """Insert or replace by primary key; returns the displaced element."""
@@ -148,12 +162,21 @@ class IndexedSet(Generic[T]):
 
     def remove_key(self, primary_key: Hashable) -> T | None:
         """Remove by primary key; returns the removed element or ``None``."""
-        token = self._token_of.pop(primary_key, None)
-        if token is None:
+        entry = self.entries.pop(primary_key, None)
+        if entry is None:
             return None
-        element = self._elements.pop(token)
-        for index in self._indices.values():
-            index._remove(token, element)
+        element, token, keys, weight = entry
+        del self._elements[token]
+        self.total_weight -= weight
+        for index, index_keys in zip(self._indices.values(), keys):
+            buckets, weights = index._buckets, index.weights
+            for key in index_keys:
+                bucket = buckets[key]
+                bucket.discard(token)
+                if bucket:
+                    weights[key] -= weight
+                else:
+                    del buckets[key], weights[key]
         return element
 
     # -- index lookups -------------------------------------------------------
@@ -166,7 +189,7 @@ class IndexedSet(Generic[T]):
 
     def count(self, index_name: str, key: Hashable) -> int:
         """Bucket size without materializing the elements."""
-        return self._indices[index_name].bucket_size(key)
+        return len(self._indices[index_name]._buckets.get(key, ()))
 
     def index_keys(self, index_name: str) -> list[Hashable]:
         """Distinct populated keys of one index."""

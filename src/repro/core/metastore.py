@@ -17,6 +17,7 @@ quota manager never have to iterate pages to answer "how full is X?".
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from repro.core.indexed_set import Index, IndexedSet
@@ -28,38 +29,44 @@ class PageMetaStore:
     """In-memory metadata store for cached pages.
 
     All methods are O(1) or O(result size); nothing iterates the universe.
+    A record is indexed and weighed as it was when added, so the byte
+    counters return to zero whatever happens to the ``PageInfo`` meanwhile.
     """
 
     def __init__(self) -> None:
-        self._pages: IndexedSet[PageInfo] = IndexedSet(primary=lambda p: p.page_id)
-        self._pages.register_index(Index("file", lambda p: p.page_id.file_id))
-        self._pages.register_index(Index("dir", lambda p: p.directory))
-        self._pages.register_index(
-            Index("scope", lambda p: [str(s) for s in p.scope.ancestors()], multi=True)
+        self._by_dir: Index[PageInfo] = Index("dir", attrgetter("directory"))
+        self._by_scope: Index[PageInfo] = Index(
+            "scope", attrgetter("scope.chain_keys"), multi=True
         )
-        self._bytes_total = 0
-        self._bytes_by_dir: dict[int, int] = {}
-        self._bytes_by_scope: dict[str, int] = {}
+        self._pages: IndexedSet[PageInfo] = IndexedSet(
+            primary=attrgetter("page_id"), weight=attrgetter("size")
+        )
+        self._pages.register_index(Index("file", attrgetter("page_id.file_id")))
+        self._pages.register_index(self._by_dir)
+        self._pages.register_index(self._by_scope)
+        self._records = self._pages.entries
+        # pages admitted with a TTL, oldest first: all the sweep looks at
+        self._expiring: dict[PageId, PageInfo] = {}
 
     # -- basic accounting ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self._records)
 
     def __contains__(self, page_id: PageId) -> bool:
-        return self._pages.contains_key(page_id)
+        return page_id in self._records
 
     @property
     def bytes_used(self) -> int:
         """Total payload bytes currently cached."""
-        return self._bytes_total
+        return self._pages.total_weight
 
     def bytes_in_dir(self, directory: int) -> int:
-        return self._bytes_by_dir.get(directory, 0)
+        return self._by_dir.weights.get(directory, 0)
 
     def bytes_in_scope(self, scope: CacheScope) -> int:
         """Bytes cached under ``scope`` (including all sub-scopes)."""
-        return self._bytes_by_scope.get(str(scope), 0)
+        return self._by_scope.weights.get(scope.chain_keys[0], 0)
 
     def pages_in_dir(self, directory: int) -> list[PageInfo]:
         return self._pages.lookup("dir", directory)
@@ -69,7 +76,7 @@ class PageMetaStore:
 
     def pages_in_scope(self, scope: CacheScope) -> list[PageInfo]:
         """All pages whose scope lies in the subtree rooted at ``scope``."""
-        return self._pages.lookup("scope", str(scope))
+        return self._pages.lookup("scope", scope.chain_keys[0])
 
     def file_ids(self) -> set[str]:
         return set(self._pages.index_keys("file"))
@@ -86,7 +93,7 @@ class PageMetaStore:
         prefix = str(scope)
         depth = scope.depth
         usage: dict[str, int] = {}
-        for key, value in self._bytes_by_scope.items():
+        for key, value in self._by_scope.weights.items():
             parts = key.split(".")
             if len(parts) == depth + 1 and key.startswith(prefix + "."):
                 usage[key] = value
@@ -95,68 +102,44 @@ class PageMetaStore:
     # -- mutation --------------------------------------------------------------
 
     def get(self, page_id: PageId) -> PageInfo | None:
-        return self._pages.get(page_id)
+        entry = self._records.get(page_id)
+        return None if entry is None else entry[0]
 
     def add(self, info: PageInfo) -> bool:
         """Insert page metadata; returns False if the page already exists."""
         if not self._pages.add(info):
             return False
-        self._account(info, +1)
+        if info.ttl is not None:
+            self._expiring[info.page_id] = info
         return True
 
     def remove(self, page_id: PageId) -> PageInfo | None:
         """Remove and return page metadata, or ``None`` if absent."""
         info = self._pages.remove_key(page_id)
-        if info is not None:
-            self._account(info, -1)
+        if self._expiring:
+            self._expiring.pop(page_id, None)
         return info
+
+    def _remove_all(self, infos: list[PageInfo]) -> list[PageInfo]:
+        for info in infos:
+            self.remove(info.page_id)
+        return infos
 
     def remove_file(self, file_id: str) -> list[PageInfo]:
         """Remove all pages of one file; returns the removed metadata."""
-        removed = []
-        for info in list(self._pages.lookup("file", file_id)):
-            self._pages.remove_key(info.page_id)
-            self._account(info, -1)
-            removed.append(info)
-        return removed
+        return self._remove_all(self.pages_of_file(file_id))
 
     def remove_scope(self, scope: CacheScope) -> list[PageInfo]:
         """Remove every page under a scope subtree (partition drop)."""
-        removed = []
-        for info in list(self._pages.lookup("scope", str(scope))):
-            self._pages.remove_key(info.page_id)
-            self._account(info, -1)
-            removed.append(info)
-        return removed
+        return self._remove_all(self.pages_in_scope(scope))
 
     def remove_dir(self, directory: int) -> list[PageInfo]:
         """Remove every page on one storage directory (faulty device)."""
-        removed = []
-        for info in list(self._pages.lookup("dir", directory)):
-            self._pages.remove_key(info.page_id)
-            self._account(info, -1)
-            removed.append(info)
-        return removed
+        return self._remove_all(self.pages_in_dir(directory))
 
     def all_pages(self) -> Iterable[PageInfo]:
         return iter(self._pages)
 
     def expired_pages(self, now: float) -> list[PageInfo]:
         """Pages whose TTL has elapsed (the periodic sweep's work list)."""
-        return [info for info in self._pages if info.is_expired(now)]
-
-    # -- internals ---------------------------------------------------------------
-
-    def _account(self, info: PageInfo, sign: int) -> None:
-        delta = sign * info.size
-        self._bytes_total += delta
-        self._bytes_by_dir[info.directory] = (
-            self._bytes_by_dir.get(info.directory, 0) + delta
-        )
-        if self._bytes_by_dir[info.directory] == 0:
-            del self._bytes_by_dir[info.directory]
-        for ancestor in info.scope.ancestors():
-            key = str(ancestor)
-            self._bytes_by_scope[key] = self._bytes_by_scope.get(key, 0) + delta
-            if self._bytes_by_scope[key] == 0:
-                del self._bytes_by_scope[key]
+        return [info for info in self._expiring.values() if info.is_expired(now)]

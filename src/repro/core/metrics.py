@@ -43,7 +43,29 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
+class _ExemplarRing:
+    """The last few ``(value, reference)`` pairs a metric was handed."""
+
+    EXEMPLAR_SLOTS = 8
+
+    __slots__ = ()
+
+    def _record_exemplar(self, value: float, reference: str) -> None:
+        if len(self._exemplars) < self.EXEMPLAR_SLOTS:
+            self._exemplars.append((value, reference))
+        else:
+            self._exemplars[self._exemplar_seen % self.EXEMPLAR_SLOTS] = (
+                value,
+                reference,
+            )
+        self._exemplar_seen += 1
+
+    def exemplars(self) -> list[tuple[float, str]]:
+        """Recent ``(value, reference)`` pairs, newest-slot ring order."""
+        return list(self._exemplars)
+
+
+class Gauge(_ExemplarRing):
     """A value that can move in either direction (e.g. bytes cached).
 
     ``set`` optionally carries an *exemplar* (the active trace span id)
@@ -51,8 +73,6 @@ class Gauge:
     of recent ``(value, reference)`` pairs is retained so a spike in, say,
     ``device_queue_depth`` can be chased to the blocked read's trace.
     """
-
-    EXEMPLAR_SLOTS = 8
 
     __slots__ = ("value", "_exemplars", "_exemplar_seen", "_history")
 
@@ -93,32 +113,20 @@ class Gauge:
         if self._history is not None:
             self._history.append(timestamp, self.value)
 
-    def _record_exemplar(self, value: float, reference: str) -> None:
-        if len(self._exemplars) < self.EXEMPLAR_SLOTS:
-            self._exemplars.append((value, reference))
-        else:
-            self._exemplars[self._exemplar_seen % self.EXEMPLAR_SLOTS] = (
-                value,
-                reference,
-            )
-        self._exemplar_seen += 1
-
-    def exemplars(self) -> list[tuple[float, str]]:
-        """Recent ``(value, reference)`` pairs, newest-slot ring order."""
-        return list(self._exemplars)
-
-
-class Histogram:
+class Histogram(_ExemplarRing):
     """Observations with exact count/total/mean and bounded storage.
 
     Up to ``reservoir_cap`` observations are kept exactly; past the cap the
-    histogram switches to a uniform reservoir (Vitter's Algorithm R) seeded
-    from a :class:`~repro.sim.rng.RngStream`, so memory stays bounded on
+    histogram switches to a uniform reservoir seeded from a
+    :class:`~repro.sim.rng.RngStream`, so memory stays bounded on
     arbitrarily long runs while every observation retains an equal chance
-    of representation.  ``count``/``total``/``mean`` are tracked exactly
-    regardless of sampling; ``percentile`` answers from whatever is
-    retained (exact below the cap, an unbiased estimate above it) using
-    linear interpolation, matching ``numpy.percentile`` defaults.
+    of representation.  The reservoir counts skips (Li's Algorithm L): it
+    draws random numbers per *kept* observation -- ``cap * ln(count / cap)``
+    of those in all -- not per observation, a block at a time.
+    ``count``/``total``/``mean`` are tracked exactly regardless of
+    sampling; ``percentile`` answers from whatever is retained (exact below
+    the cap, an unbiased estimate above it) using linear interpolation,
+    matching ``numpy.percentile`` defaults.
 
     ``observe`` optionally carries an *exemplar* -- an opaque reference
     (the active trace span id) linking the metric back to a trace; a small
@@ -126,7 +134,6 @@ class Histogram:
     """
 
     DEFAULT_RESERVOIR = 65_536
-    EXEMPLAR_SLOTS = 8
 
     __slots__ = (
         "_values",
@@ -134,6 +141,9 @@ class Histogram:
         "_total",
         "_cap",
         "_rng",
+        "_keep_probability",
+        "_next_kept",
+        "_draws",
         "_exemplars",
         "_exemplar_seen",
     )
@@ -151,31 +161,47 @@ class Histogram:
         self._total = 0.0
         self._cap = reservoir_cap
         self._rng = rng if rng is not None else RngStream(0, "metrics/reservoir")
+        self._keep_probability = 1.0
+        self._next_kept = 0  # the count at which the full reservoir next changes
+        self._draws: list[float] = []
         self._exemplars: list[tuple[float, str]] = []
         self._exemplar_seen = 0
+
+    def _uniforms(self, needed: int) -> list[float]:
+        """At least ``needed`` draws from (0, 1] to pop; a scalar NumPy
+        draw would cost ten times the rest of ``observe``."""
+        if len(self._draws) < needed:
+            self._draws = (1.0 - self._rng.rng.random(256)).tolist()
+        return self._draws
+
+    def _skip_ahead(self, w: float, draw: float) -> None:
+        """The reservoir is the ``cap`` observations with the smallest of
+        ``count`` uniform keys; a later one gets in with probability ``w``,
+        the largest of those keys, so the gap to it is geometric."""
+        self._keep_probability = w
+        passed = int(math.log(draw) / math.log1p(-w)) if w < 1.0 else 0
+        self._next_kept = self._count + passed + 1
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
         if not math.isfinite(value):
             raise ValueError(f"observation must be finite, got {value}")
         self._count += 1
         self._total += value
-        if len(self._values) < self._cap:
-            self._values.append(value)
-        else:
-            # Algorithm R: keep each of the count observations with equal
-            # probability cap/count
-            slot = int(self._rng.rng.integers(0, self._count))
-            if slot < self._cap:
-                self._values[slot] = value
+        values, cap = self._values, self._cap
+        if len(values) < cap:
+            values.append(value)
+            if len(values) == cap:  # full: start counting skips
+                draws = self._uniforms(2)
+                self._skip_ahead(draws.pop() ** (1.0 / cap), draws.pop())
+        elif self._count >= self._next_kept:
+            draws = self._uniforms(3)
+            values[int((1.0 - draws.pop()) * cap)] = value
+            # the largest kept key shrinks by the cap-th root of a uniform
+            self._skip_ahead(
+                self._keep_probability * draws.pop() ** (1.0 / cap), draws.pop()
+            )
         if exemplar is not None:
-            if len(self._exemplars) < self.EXEMPLAR_SLOTS:
-                self._exemplars.append((value, exemplar))
-            else:
-                self._exemplars[self._exemplar_seen % self.EXEMPLAR_SLOTS] = (
-                    value,
-                    exemplar,
-                )
-            self._exemplar_seen += 1
+            self._record_exemplar(value, exemplar)
 
     def __len__(self) -> int:
         return self._count
@@ -203,10 +229,6 @@ class Histogram:
     def reservoir_cap(self) -> int:
         return self._cap
 
-    def exemplars(self) -> list[tuple[float, str]]:
-        """Recent ``(value, reference)`` pairs, newest-slot ring order."""
-        return list(self._exemplars)
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0-100) of the retained observations."""
         if not self._values:
@@ -233,15 +255,15 @@ class Histogram:
             )
             combined = [combined[i] for i in keep]
         self._values = combined
+        if len(combined) == self._cap:
+            # a uniform sample of `count` again: the largest kept key of
+            # such a sample is Beta(cap, count - cap + 1)
+            self._skip_ahead(
+                float(self._rng.rng.beta(self._cap, self._count - self._cap + 1)),
+                self._uniforms(1).pop(),
+            )
         for value, ref in other._exemplars:
-            if len(self._exemplars) < self.EXEMPLAR_SLOTS:
-                self._exemplars.append((value, ref))
-            else:
-                self._exemplars[self._exemplar_seen % self.EXEMPLAR_SLOTS] = (
-                    value,
-                    ref,
-                )
-            self._exemplar_seen += 1
+            self._record_exemplar(value, ref)
 
 
 @dataclass(slots=True)

@@ -16,14 +16,17 @@ from __future__ import annotations
 import contextlib
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from repro.core.scope import CacheScope
 
 
-@dataclass(frozen=True, slots=True)
-class PageId:
+class PageId(NamedTuple("PageId", [("file_id", str), ("page_index", int)])):
     """Globally unique identity of a cached page.
+
+    A tuple with names, not a dataclass: every metastore, policy and
+    page-store lookup hashes and compares a page id, and a tuple does both
+    in C (DESIGN.md §15).  ``hash(PageId(f, i)) == hash((f, i))``.
 
     Attributes:
         file_id: opaque identifier of the source file (often a path hash or
@@ -31,17 +34,17 @@ class PageId:
         page_index: zero-based index of the page within the file.
     """
 
-    file_id: str
-    page_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.page_index < 0:
-            raise ValueError(f"page_index must be >= 0, got {self.page_index}")
-        if not self.file_id:
+    def __new__(cls, file_id: str, page_index: int) -> "PageId":
+        if page_index < 0:
+            raise ValueError(f"page_index must be >= 0, got {page_index}")
+        if not file_id:
             raise ValueError("file_id must be non-empty")
+        return tuple.__new__(cls, (file_id, page_index))
 
     def __str__(self) -> str:
-        return f"{self.file_id}#{self.page_index}"
+        return f"{self[0]}#{self[1]}"
 
 
 @dataclass(slots=True)

@@ -13,7 +13,7 @@ Three implementations behind one interface:
   failure case studies.
 """
 
-from repro.core.pagestore.base import PageStore, StoredPage
+from repro.core.pagestore.base import PageStore
 from repro.core.pagestore.local import LocalFilePageStore
 from repro.core.pagestore.memory import MemoryPageStore
 
@@ -37,7 +37,6 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "PageStore",
-    "StoredPage",
     "MemoryPageStore",
     "LocalFilePageStore",
     "SimulatedSsdPageStore",

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.core.page import PageId
-
-
-@dataclass(frozen=True, slots=True)
-class StoredPage:
-    """A page payload returned by a store read."""
-
-    page_id: PageId
-    data: bytes
 
 
 @runtime_checkable

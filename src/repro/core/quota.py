@@ -81,8 +81,10 @@ class QuotaManager:
         An empty list means the put is quota-compliant at all levels.
         """
         violations: list[QuotaViolation] = []
-        for level in scope.ancestors():  # finest -> global (Section 5.2)
-            limit = self._quotas.get(str(level))
+        # finest -> global (Section 5.2); with no quota set, no walk at all
+        levels = zip(scope.ancestors(), scope.chain_keys) if self._quotas else ()
+        for level, key in levels:
+            limit = self._quotas.get(key)
             if limit is None:
                 continue
             used = metastore.bytes_in_scope(level)
@@ -99,8 +101,8 @@ class QuotaManager:
 
     def fits_eventually(self, scope: CacheScope, incoming_bytes: int) -> bool:
         """False if the page can never fit (larger than some level's quota)."""
-        for level in scope.ancestors():
-            limit = self._quotas.get(str(level))
+        for key in scope.chain_keys if self._quotas else ():
+            limit = self._quotas.get(key)
             if limit is not None and incoming_bytes > limit:
                 return False
         return True

@@ -16,7 +16,7 @@ partition") enumerates a scope subtree without any directory listing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 GLOBAL_SCOPE_NAME = "global"
 _SEPARATOR = "."
@@ -30,9 +30,18 @@ class CacheScope:
     scope, depth 2 a schema, depth 3 a table, depth 4 a partition.  Deeper
     nesting is allowed for custom tenant hierarchies (Section 5.2 "custom
     tenants").
+
+    ``chain_keys`` -- the dotted names of this scope and every enclosing
+    one, finest first, as the scope index and the quota table are keyed --
+    and the memoised ancestor chain derive from ``components`` alone, so
+    they cannot go stale and take no part in ``==``, ``hash`` or ``repr``.
     """
 
     components: tuple[str, ...]
+    chain_keys: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _enclosing: "tuple[CacheScope, ...] | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -44,13 +53,17 @@ class CacheScope:
         for part in self.components:
             if not part or _SEPARATOR in part:
                 raise ValueError(f"invalid scope component {part!r}")
+        parts = self.components
+        object.__setattr__(self, "chain_keys", tuple(
+            _SEPARATOR.join(parts[:depth]) for depth in range(len(parts), 0, -1)
+        ))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def global_scope(cls) -> "CacheScope":
-        """The root scope covering the entire cache."""
-        return cls((GLOBAL_SCOPE_NAME,))
+        """The root scope covering the entire cache (one shared instance)."""
+        return _GLOBAL
 
     @classmethod
     def parse(cls, dotted: str) -> "CacheScope":
@@ -106,16 +119,19 @@ class CacheScope:
         This is exactly the chain the quota check walks (Section 5.2):
         partition -> table -> schema -> global.
         """
-        chain: list[CacheScope] = []
-        current: CacheScope | None = self
-        while current is not None:
-            chain.append(current)
-            current = current.parent()
-        return chain
+        enclosing = self._enclosing
+        if enclosing is None:
+            parent = self.parent()
+            enclosing = () if parent is None else tuple(parent.ancestors())
+            object.__setattr__(self, "_enclosing", enclosing)
+        return [self, *enclosing]
 
     def contains(self, other: "CacheScope") -> bool:
         """True if ``other`` equals this scope or lies inside it."""
         return other.components[: len(self.components)] == self.components
 
     def __str__(self) -> str:
-        return _SEPARATOR.join(self.components)
+        return self.chain_keys[0]
+
+
+_GLOBAL = CacheScope((GLOBAL_SCOPE_NAME,))

@@ -7,7 +7,7 @@ partition so the worker can tag cache scopes correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.scope import CacheScope
 from repro.presto.catalog import DataFile
@@ -25,14 +25,17 @@ class Split:
     partition: str
     n_columns: int = 16
     n_row_groups: int = 8
+    # the partition's cache scope, built once: every read of the split tags
+    # its pages with it
+    scope: CacheScope = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.offset < 0 or self.length <= 0:
             raise ValueError(f"bad split range {self.offset}/{self.length}")
-
-    @property
-    def scope(self) -> CacheScope:
-        return CacheScope.for_partition(self.schema, self.table, self.partition)
+        object.__setattr__(
+            self, "scope",
+            CacheScope.for_partition(self.schema, self.table, self.partition),
+        )
 
     @property
     def qualified_table(self) -> str:

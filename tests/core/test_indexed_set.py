@@ -106,6 +106,39 @@ class TestIndices:
         s.register_index(Index("group", lambda item: item.group))
         assert s.lookup("group", 1) == [Item("a", 1)]
 
+    def test_keys_are_those_at_add_whatever_the_element_becomes(self):
+        """Regression: removal used to recompute keys from the element as it
+        is *now*, so mutating an indexed property stranded the token in its
+        old bucket and ``lookup`` raised ``KeyError`` on the dangling token."""
+        s: IndexedSet[list] = IndexedSet(primary=lambda box: box[0], weight=lambda box: box[3])
+        s.register_index(Index("group", lambda box: box[1]))
+        s.register_index(Index("tag", lambda box: box[2], multi=True))
+        box = ["a", 1, ["x", "y"], 10]
+        other = ["b", 1, ["y"], 5]
+        s.add(box)
+        s.add(other)
+        box[1], box[2], box[3] = 2, ["z"], 99
+        # filed where it was added, not where it points now
+        assert s.lookup("group", 1) == [box, other]
+        assert s.lookup("group", 2) == [] and s.lookup("tag", "z") == []
+        assert s.remove_key("a") is box
+        assert s.lookup("group", 1) == [other]
+        assert s.lookup("tag", "x") == [] and s.lookup("tag", "y") == [other]
+        assert s.total_weight == 5
+        assert s.remove_key("b") is other
+        for name in s.index_names():
+            assert s.index_keys(name) == []
+        assert s.total_weight == 0 and len(s) == 0
+
+    def test_late_registration_captures_keys_too(self):
+        s: IndexedSet[list] = IndexedSet(primary=lambda box: box[0])
+        box = ["a", 1]
+        s.add(box)
+        s.register_index(Index("group", lambda box: box[1]))
+        box[1] = 2
+        s.remove_key("a")
+        assert s.index_keys("group") == [] and s.lookup("group", 1) == []
+
     def test_duplicate_index_name_rejected(self):
         s = make_set()
         with pytest.raises(ValueError):

@@ -132,7 +132,62 @@ class TestBulkRemoval:
         assert store.bytes_used == 10
 
 
+class TestRecordsAreMutable:
+    def test_counters_return_to_zero_whatever_happened_to_the_record(self):
+        """Regression: ``ms.add(info); info.directory = 1; ms.remove(id)``
+        left the token in bucket ``dir=0`` (``pages_in_dir(0)`` then raised
+        ``KeyError``) and drove ``bytes_in_dir(1)`` negative; ``scope`` and
+        ``size`` went wrong the same way."""
+        store = PageMetaStore()
+        moved = info("f", 0, size=10, scope=PART_A, directory=0)
+        steady = info("f", 1, size=7, scope=PART_B, directory=0)
+        store.add(moved)
+        store.add(steady)
+        moved.directory, moved.scope, moved.size = 1, OTHER_TABLE, 1000
+        assert store.bytes_in_dir(0) == 17 and store.bytes_in_dir(1) == 0
+        assert store.pages_in_dir(0) == [moved, steady]
+        assert store.pages_in_scope(OTHER_TABLE) == []
+        assert store.remove(moved.page_id) is moved
+        assert store.pages_in_dir(0) == [steady] and store.pages_in_dir(1) == []
+        assert store.pages_in_scope(PART_A) == [] and store.pages_in_scope(TABLE) == [steady]
+        assert (store.bytes_used, store.bytes_in_dir(0), store.bytes_in_dir(1)) == (7, 7, 0)
+        assert store.bytes_in_scope(PART_A) == 0 and store.bytes_in_scope(OTHER_TABLE) == 0
+        assert store.bytes_in_scope(TABLE) == 7
+        store.remove(steady.page_id)
+        assert store.bytes_used == 0 and len(store) == 0
+        assert store.scopes() == [] and store.file_ids() == set()
+        for scope in (PART_A, PART_B, TABLE, OTHER_TABLE, CacheScope.global_scope()):
+            assert store.bytes_in_scope(scope) == 0
+            assert store.pages_in_scope(scope) == []
+        assert store.child_scope_usage(TABLE) == {}
+
+
 class TestTtl:
+    def test_a_sweep_looks_only_at_pages_that_carry_a_ttl(self, monkeypatch):
+        """``expired_pages`` used to scan every record, under the lock every
+        hit needs, even when no page had a TTL (the default)."""
+        asked = []
+        is_expired = PageInfo.is_expired
+        monkeypatch.setattr(
+            PageInfo, "is_expired",
+            lambda self, now: asked.append(self.page_id) or is_expired(self, now),
+        )
+        store = PageMetaStore()
+        for n in range(100_000):
+            store.add(PageInfo(PageId("f", n), size=1, created_at=0.0))
+        assert store.expired_pages(now=1e9) == [] and asked == []
+        for n in (3, 1, 2):
+            store.add(PageInfo(PageId("g", n), size=1, created_at=0.0, ttl=10.0 * n))
+        # oldest admission first, as the full scan found them
+        assert [p.page_id.page_index for p in store.expired_pages(now=25.0)] == [1, 2]
+        assert len(asked) == 3
+        store.remove(PageId("g", 1))
+        assert [p.page_id.page_index for p in store.expired_pages(now=1e9)] == [3, 2]
+        for n in (3, 2):
+            store.remove(PageId("g", n))
+        del asked[:]
+        assert store.expired_pages(now=1e9) == [] and asked == []
+
     def test_expired_pages(self):
         store = PageMetaStore()
         fresh = PageInfo(PageId("f", 0), size=1, created_at=0.0, ttl=100.0)

@@ -104,6 +104,42 @@ class TestHistogramReservoir:
 
         assert build() == build()
 
+    def test_every_decile_of_the_input_is_kept_equally_often(self):
+        """Skip counting must leave the sample uniform: over 200 seeded runs
+        of ten times the cap, each tenth of the input supplies a tenth of
+        what is retained, within three standard deviations."""
+        cap, runs = 100, 200
+        kept_per_decile = [0] * 10
+        for seed in range(runs):
+            histogram = Histogram(reservoir_cap=cap, rng=RngStream(seed, "metrics/uniform"))
+            for v in range(10 * cap):
+                histogram.observe(float(v))
+            assert histogram.count == 10 * cap and len(histogram.values()) == cap
+            assert histogram.total == sum(range(10 * cap))
+            for v in histogram.values():
+                kept_per_decile[int(v) // cap] += 1
+        expected = runs * cap / 10
+        # each of the runs * cap inputs of a decile is kept with chance 1/10
+        sigma = (runs * cap * 0.1 * 0.9) ** 0.5
+        for decile, kept in enumerate(kept_per_decile):
+            assert abs(kept - expected) < 3 * sigma, (decile, kept_per_decile)
+
+    def test_observing_after_a_merge_stays_uniform(self):
+        kept_late = 0
+        for seed in range(100):
+            merged = Histogram(reservoir_cap=50, rng=RngStream(seed, "metrics/merged"))
+            other = Histogram(reservoir_cap=50, rng=RngStream(seed, "metrics/other"))
+            for v in range(250):
+                merged.observe(float(v))
+                other.observe(float(250 + v))
+            merged.merge(other)
+            for v in range(500, 1000):
+                merged.observe(float(v))
+            assert merged.count == 1000 and len(merged.values()) == 50
+            kept_late += sum(v >= 500 for v in merged.values())
+        # half the input came after the merge: half of 100 * 50 kept values
+        assert abs(kept_late - 2500) < 3 * (5000 * 0.5 * 0.5) ** 0.5
+
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             Histogram(reservoir_cap=0)

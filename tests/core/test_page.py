@@ -1,5 +1,7 @@
 """Tests for page identity, metadata, and range-to-page math."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,32 @@ class TestPageId:
 
     def test_str(self):
         assert str(PageId("blk_17@gs5", 3)) == "blk_17@gs5#3"
+
+    def test_what_hashing_in_c_must_not_change(self):
+        """``PageId`` became a tuple subclass so that dicts hash and compare
+        it without entering the interpreter; everything else it did stays."""
+        page_id = PageId(file_id="blk_17@gs5", page_index=3)
+        assert page_id == PageId("blk_17@gs5", 3)
+        assert (page_id.file_id, page_id.page_index) == ("blk_17@gs5", 3)
+        assert repr(page_id) == "PageId(file_id='blk_17@gs5', page_index=3)"
+        assert hash(page_id) == hash(("blk_17@gs5", 3))
+        for attribute in ("file_id", "page_index", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(page_id, attribute, 1)
+        with pytest.raises(ValueError, match="page_index must be >= 0"):
+            PageId(file_id="f", page_index=-1)
+        with pytest.raises(ValueError, match="file_id must be non-empty"):
+            PageId(file_id="", page_index=0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_finds_the_same_dict_entry(self, protocol):
+        page_id = PageId("f", 7)
+        copy = pickle.loads(pickle.dumps(page_id, protocol))
+        assert type(copy) is PageId and copy == page_id
+        assert (copy.file_id, copy.page_index) == ("f", 7)
+        assert {page_id: "payload"}[copy] == "payload"
+        table = pickle.loads(pickle.dumps({page_id: "payload"}, protocol))
+        assert table[PageId("f", 7)] == "payload"
 
 
 class TestPageInfo:

@@ -1,5 +1,7 @@
 """Tests for the hierarchical scope tree."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +69,32 @@ class TestNavigation:
         scope = CacheScope.for_partition("s", "t", "p")
         chain = [str(s) for s in scope.ancestors()]
         assert chain == ["global.s.t.p", "global.s.t", "global.s", "global"]
+
+    def test_caches_are_invisible(self):
+        """``chain_keys`` and the memoised chain are derived from
+        ``components``; they take no part in ``==``, ``hash`` or ``repr``,
+        and a scope that has walked its chain equals one that has not."""
+        walked = CacheScope.for_partition("s", "t", "p")
+        fresh = CacheScope.for_partition("s", "t", "p")
+        assert walked.chain_keys == ("global.s.t.p", "global.s.t", "global.s", "global")
+        first = walked.ancestors()
+        assert walked.ancestors() == first and walked.ancestors() is not first
+        assert all(a is b for a, b in zip(first, walked.ancestors()))  # built once
+        first.clear()  # the caller's list, not the cache
+        assert len(walked.ancestors()) == 4
+        assert walked == fresh and hash(walked) == hash(fresh)
+        assert repr(walked) == repr(fresh) == "CacheScope(components=('global', 's', 't', 'p'))"
+        assert {walked: 1}[fresh] == 1
+        copy = pickle.loads(pickle.dumps(walked))
+        assert copy == walked and copy.chain_keys == walked.chain_keys
+        assert [str(s) for s in copy.ancestors()] == list(walked.chain_keys)
+        with pytest.raises(AttributeError):
+            walked.chain_keys = ()
+
+    def test_global_scope_is_one_object(self):
+        assert CacheScope.global_scope() is CacheScope.global_scope()
+        assert CacheScope.parse("") is CacheScope.global_scope()
+        assert CacheScope(("global",)) == CacheScope.global_scope()
 
     def test_contains(self):
         table = CacheScope.for_table("s", "t")
