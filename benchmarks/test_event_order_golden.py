@@ -20,6 +20,20 @@ The scenarios pin every knob explicitly (seed, request counts, churn
 arrival rates), so the hashes are independent of the ``*_SOAK_QUICK``
 environment switches.
 
+``presto_tpcds_kernel`` pins the simulated I/O path (DESIGN.md §16): the
+99 TPC-DS query profiles, in a seed-permuted arrival order, through
+``run_concurrent_kernel`` on a 4-worker SSD-backed ``PrestoCluster`` (1 MiB
+pages, 32 MiB of cache per worker) -- the ``sim_tpcds`` benchmark built
+from library APIs only.  Beyond the completion-time hash it pins the
+kernel's event count, each worker's device counters, cache counters and
+live gauges.  Its ``_traced`` twin runs the same scenario under a
+sample-everything :class:`~repro.obs.tracer.SimTracer` and also pins the
+span forest's ``tree_signature``, the attribution bucket sums and the
+gauges' exemplars, so the tracing-off fast paths provably leave the
+tracing-on results alone.  Both were recorded from the commit before the
+simulated-read fast path; re-record with
+``PYTHONPATH=src python benchmarks/test_event_order_golden.py``.
+
 Run explicitly (benchmarks are not part of tier-1)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_event_order_golden.py -q
@@ -32,12 +46,104 @@ import pytest
 import test_chaos_soak as chaos_soak
 import test_churn_soak as churn_soak
 
+from repro.core.config import MIB
+from repro.core.page import installed_time_source
+from repro.obs.attribution import aggregate, attribute_buffer
+from repro.obs.buffer import SpanBuffer
+from repro.obs.export import tree_signature
+from repro.obs.tracer import SimTracer, current_tracer
+from repro.ports.rng import RngStream
+from repro.presto.coordinator import PrestoCluster
+from repro.sim.clock import SimClock
+from repro.sim.kernel import Kernel
 from repro.sim.sanitizer import DeterminismHarness
+from repro.workload.tpcds import build_tpcds_catalog_fast, tpcds_queries
 
-GOLDEN = json.loads(
-    (Path(__file__).with_name("golden_event_order.json"))
-    .read_text(encoding="utf-8")
-)
+GOLDEN_PATH = Path(__file__).with_name("golden_event_order.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+PRESTO_SEED = 42
+PRESTO_GAUGES = ("device_queue_depth", "blocked_processes")
+# one traced round finishes ~150 K spans; none may be dropped
+PRESTO_SPAN_CAPACITY = 1_000_000
+
+
+def run_presto_tpcds_kernel(trace, seed: int) -> dict:
+    """One ``sim_tpcds``-shaped round; records each query's completion into
+    ``trace`` and returns every other pinned fact.
+
+    Traced when a ``SimTracer`` is installed (the harness's
+    ``tracer_factory``); the tracer's clock is rebound to the round's own.
+    """
+    clock = SimClock()
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.clock = clock
+    catalog, source = build_tpcds_catalog_fast(512 * MIB)
+    cluster = PrestoCluster.create(
+        catalog, source, n_workers=4, cache_capacity_bytes=32 * MIB,
+        page_size=MIB, target_split_size=8 * MIB, clock=clock,
+    )
+    kernel = Kernel(clock)
+    cluster.attach_kernel(kernel)
+    queries = tpcds_queries()
+    order = RngStream(seed, "golden/presto_tpcds_kernel/order").rng.permutation(
+        len(queries)
+    )
+    arrivals = [(0.5 * slot, queries[int(pick)]) for slot, pick in enumerate(order)]
+    with installed_time_source(clock.now):
+        replies = cluster.coordinator.run_concurrent_kernel(
+            arrivals, kernel=kernel, worker_concurrency=4
+        )
+    for (arrival, query), reply in zip(arrivals, replies):
+        assert reply.query_id == query.query_id and not reply.shed
+        trace.record("query-complete", arrival + reply.wall_seconds, query.query_id)
+    workers = {}
+    for name, worker in sorted(cluster.workers.items()):
+        stats = worker.cache.page_store.device.stats
+        gauges = {}
+        for gauge_name in PRESTO_GAUGES:
+            gauge = worker.metrics.gauge(gauge_name)
+            gauges[gauge_name] = [gauge.value, len(gauge.exemplars())]
+            if tracer.enabled:
+                gauges[gauge_name].append([list(pair) for pair in gauge.exemplars()])
+        workers[name] = {
+            "device": {
+                "reads": stats.reads,
+                "bytes_read": stats.bytes_read,
+                "busy_time": stats.busy_time,
+                "blocked_requests": stats.blocked_requests,
+            },
+            "cache": worker.metrics.counters(),
+            "gauges": gauges,
+        }
+    facts = {
+        "kernel_events": kernel.events_fired,
+        "virtual_s": clock.now(),
+        "splits": sum(reply.stats.splits for reply in replies),
+        "workers": workers,
+    }
+    if tracer.enabled:
+        spans = tracer.buffer.spans()
+        assert tracer.buffer.dropped == 0
+        facts["spans"] = len(spans)
+        facts["tree_signature"] = tree_signature(spans)
+        facts["attribution"] = aggregate(attribute_buffer(tracer.buffer))
+    return facts
+
+
+def _presto_tracer() -> SimTracer:
+    return SimTracer(
+        SimClock(), RngStream(PRESTO_SEED, "golden/presto_tpcds_kernel/trace"),
+        buffer=SpanBuffer(PRESTO_SPAN_CAPACITY), sample_rate=1.0,
+    )
+
+
+def presto_report(traced: bool):
+    return DeterminismHarness(
+        lambda trace: run_presto_tpcds_kernel(trace, PRESTO_SEED),
+        tracer_factory=_presto_tracer if traced else None,
+    ).check()
 
 _REPIN_HINT = (
     "the scheduler fired a different event sequence than the pinned "
@@ -110,3 +216,27 @@ class TestGoldenEventOrder:
             return result["admission"]
 
         _assert_matches(DeterminismHarness(scenario).check(), spec)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_presto_tpcds_kernel_matches_pinned_facts(self, traced):
+        name = "presto_tpcds_kernel" + ("_traced" if traced else "")
+        spec = GOLDEN["scenarios"][name]
+        report = presto_report(traced)
+        _assert_matches(report, spec)
+        facts = report.result_first
+        for key, pinned in spec["facts"].items():
+            assert facts[key] == pinned, f"{name}: {key} moved: {_REPIN_HINT}"
+        assert facts.keys() == spec["facts"].keys()
+
+
+if __name__ == "__main__":
+    for traced in (False, True):
+        report = presto_report(traced)
+        name = "presto_tpcds_kernel" + ("_traced" if traced else "")
+        GOLDEN["scenarios"][name] = {
+            "seed": PRESTO_SEED,
+            "events": report.events_first,
+            "rolling_hash": report.hash_first,
+            "facts": report.result_first,
+        }
+    GOLDEN_PATH.write_text(json.dumps(GOLDEN, indent=2) + "\n", encoding="utf-8")

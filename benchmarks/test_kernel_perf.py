@@ -22,9 +22,10 @@ no simulation results, a fully profiled double-run produces a
 byte-identical virtual profile, and wait-state attribution telescopes to
 100% of every process's lifetime.
 
-``KERNEL_PERF_QUICK=1`` drops the 100K rung and emits to
-``BENCH_kernel_quick`` so a dev-loop run never dirties the committed
-3-rung seed.
+``KERNEL_PERF_QUICK=1`` drops the 100K rung and emits every host-bearing
+artifact to a ``_quick`` sibling (``BENCH_kernel_quick.json``,
+``kernel_perf_quick.txt``, ``kernel_profile_quick.*``; git-ignored) so a
+dev-loop run never dirties the committed 3-rung seed.
 
 Run explicitly (benchmarks are not part of tier-1)::
 
@@ -50,6 +51,8 @@ from repro.sim.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 
 QUICK = bool(os.environ.get("KERNEL_PERF_QUICK"))
+# artifact-name suffix: quick mode writes siblings, never the committed files
+SUFFIX = "_quick" if QUICK else ""
 
 SEED = 20240808
 LADDER = (1_000, 10_000) if QUICK else (1_000, 10_000, 100_000)
@@ -233,7 +236,7 @@ class TestKernelPerfLadder:
                 "work": {"ladder": {str(SCALE_RUNG): scale_work}},
                 "host": {"ladder": {str(SCALE_RUNG): scale_host}},
             }
-        emit_json("BENCH_kernel_quick" if QUICK else "BENCH_kernel", payload)
+        emit_json(f"BENCH_kernel{SUFFIX}", payload)
 
         # profiled + sampled run at the smallest rung: the artifacts the
         # CI job uploads (profile JSON, folded stacks, telemetry JSONL)
@@ -247,10 +250,10 @@ class TestKernelPerfLadder:
         )
         profile = profiler.finalize()
         REPORT_DIR.mkdir(exist_ok=True)
-        (REPORT_DIR / "kernel_profile.json").write_text(
+        (REPORT_DIR / f"kernel_profile{SUFFIX}.json").write_text(
             profile.to_json(include_host=True) + "\n", encoding="utf-8"
         )
-        (REPORT_DIR / "kernel_profile.folded").write_text(
+        (REPORT_DIR / f"kernel_profile{SUFFIX}.folded").write_text(
             profile.folded_wait_states() + "\n", encoding="utf-8"
         )
         (REPORT_DIR / "telemetry.jsonl").write_text(
@@ -283,7 +286,7 @@ class TestKernelPerfLadder:
                 f"blocked={states['blocked']:.3f} "
                 f"sleeping={states['sleeping']:.3f}"
             )
-        emit_report("kernel_perf", "\n".join(lines))
+        emit_report(f"kernel_perf{SUFFIX}", "\n".join(lines))
         emit_report("telemetry", format_telemetry(sampler))
 
         for n in LADDER:

@@ -1,14 +1,19 @@
 """Simulated-SSD page store: real payloads, virtual timing, injectable faults.
 
-Used by every benchmark: payloads live in memory (so correctness is fully
-exercised) while read/write *latency* is charged to a
-:class:`~repro.storage.device.StorageDevice` on the simulation clock.  The
-three production failure modes of Section 8 are injectable:
+Used by every benchmark: payloads live in memory -- whatever bytes the
+caller puts are the bytes a hit returns, so the cache's slicing, joining
+and accounting are fully exercised -- while read/write *latency* is charged
+to a :class:`~repro.storage.device.StorageDevice` on the simulation clock.
+Over a simulated source the payloads are shared zero pages
+(:func:`~repro.storage.remote.zero_bytes`), so a resident page costs its
+metadata, not its size (DESIGN.md §16).  The three production failure modes
+of Section 8 are injectable:
 
 - **read hang** -- a read takes pathologically long (the paper saw up to 10
   minutes); if the modelled latency exceeds the caller's timeout budget the
   store raises :class:`~repro.errors.CacheReadTimeoutError` so the cache
-  manager can fall back to remote storage.
+  manager can fall back to remote storage.  Under the kernel engine the
+  owning process then waits out only its timeout budget, not the hang.
 - **corruption** -- a page's payload is flagged corrupt; reads raise
   :class:`~repro.errors.PageCorruptedError`.
 - **ENOSPC** -- the device reports full below the configured cache
@@ -18,17 +23,25 @@ three production failure modes of Section 8 are injectable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.page import PageId
 from repro.core.pagestore.memory import MemoryPageStore
-from repro.errors import (
-    CacheReadTimeoutError,
-    NoSpaceLeftError,
-    PageCorruptedError,
-    PageNotFoundError,
-)
+from repro.errors import CacheReadTimeoutError, NoSpaceLeftError, PageCorruptedError
 from repro.sim.kernel import Timeout, defer_io, io_collection_active
 from repro.storage.device import StorageDevice
+
+
+def _timeout_error(page_id: PageId, latency: float, timeout: float) -> Exception:
+    return CacheReadTimeoutError(
+        f"read of {page_id} took {latency:.3f}s > timeout {timeout:.3f}s"
+    )
+
+
+def _stall(seconds: float):
+    """Replay op: the owning process waits ``seconds``."""
+    yield Timeout(seconds)
+    return seconds
 
 
 @dataclass(slots=True)
@@ -112,36 +125,52 @@ class SimulatedSsdPageStore:
         offset: int = 0, length: int | None = None,
         *, timeout: float | None = None,
     ) -> bytes:
-        if not self._backing.contains(page_id, directory):
-            raise PageNotFoundError(str(page_id))
-        if page_id in self.faults.corrupted:
+        data = self._backing.get(page_id, directory, offset, length)
+        faults = self.faults
+        if page_id in faults.corrupted:
             raise PageCorruptedError(f"injected corruption on {page_id}")
-        if self.faults.read_corruption_probability > 0 and (
-            self.faults.rng.rng.random() < self.faults.read_corruption_probability
+        if faults.read_corruption_probability > 0 and (
+            faults.rng.rng.random() < faults.read_corruption_probability
         ):
             raise PageCorruptedError(
                 f"injected probabilistic corruption on {page_id}"
             )
-        data = self._backing.get(page_id, directory, offset, length)
-        latency = self._device.read(len(data))
-        self.last_op_wait = self._device.last_wait
-        if self.faults.hang_reads_seconds is not None:
-            latency += self.faults.hang_reads_seconds
-            if io_collection_active() and self._device.kernel_attached:
-                # the device read itself was deferred; defer the injected
-                # stall too so the owning process experiences it
-                hang = self.faults.hang_reads_seconds
-
-                def _hang_op(hang: float = hang):
-                    yield Timeout(hang)
-                    return hang
-
-                defer_io(_hang_op)
+        if faults.hang_reads_seconds is not None:
+            return self._hung_get(page_id, data, faults.hang_reads_seconds, timeout)
+        device = self._device
+        latency = device.read(len(data))
+        self.last_op_wait = device.last_wait
         self.last_op_latency = latency
         if timeout is not None and latency > timeout:
-            raise CacheReadTimeoutError(
-                f"read of {page_id} took {latency:.3f}s > timeout {timeout:.3f}s"
-            )
+            raise _timeout_error(page_id, latency, timeout)
+        return data
+
+    def _hung_get(
+        self, page_id: PageId, data: bytes, hang: float, timeout: float | None
+    ) -> bytes:
+        """A read that stalls ``hang`` seconds on top of the device time."""
+        device = self._device
+        if io_collection_active() and device.kernel_attached:
+            # kernel engine: the device time is lived at replay and reported
+            # here as 0, so the read times out iff the hang alone exceeds
+            # the budget.  Then the owning process waits out the budget and
+            # falls back; the transfer and the hang it gave up on are never
+            # replayed.
+            self.last_op_wait = 0.0
+            self.last_op_latency = hang
+            if timeout is not None and hang > timeout:
+                defer_io(partial(_stall, timeout))
+                raise _timeout_error(page_id, hang, timeout)
+            device.read(len(data))
+            defer_io(partial(_stall, hang))
+            return data
+        # analytic engine: the caller is charged nothing for a timed-out
+        # wait (a known divergence from the kernel engine above)
+        latency = device.read(len(data)) + hang
+        self.last_op_wait = device.last_wait
+        self.last_op_latency = latency
+        if timeout is not None and latency > timeout:
+            raise _timeout_error(page_id, latency, timeout)
         return data
 
     def delete(self, page_id: PageId, directory: int) -> bool:

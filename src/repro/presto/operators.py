@@ -160,17 +160,20 @@ class ScanFilterProjectOperator:
         stats: QueryRuntimeStats | None,
         bypass_cache: bool,
     ) -> None:
-        span = current_tracer().current()
+        tracer = current_tracer()
+        # with tracing off no charge is made
+        span = tracer.current() if tracer.enabled else None
         if self._cache is None or bypass_cache:
             read = self._source.read(split.file_id, offset, length)
             handled = len(read.data)
             handling = self._handling_cost(handled)
-            backoff = getattr(self._source, "last_retry_backoff", 0.0)
-            wait = getattr(self._source, "last_queue_wait", 0.0)
-            span.charge("retry_backoff", backoff)
-            span.charge("queueing", wait)
-            span.charge("remote", read.latency - backoff - wait)
-            span.charge("compute", handling)
+            if span is not None:
+                backoff = getattr(self._source, "last_retry_backoff", 0.0)
+                wait = getattr(self._source, "last_queue_wait", 0.0)
+                span.charge("retry_backoff", backoff)
+                span.charge("queueing", wait)
+                span.charge("remote", read.latency - backoff - wait)
+                span.charge("compute", handling)
             result.input_wall += read.latency + handling
             result.bytes_scanned += handled
             result.requests += 1
@@ -182,7 +185,8 @@ class ScanFilterProjectOperator:
         )
         handled = len(read.data)
         handling = self._handling_cost(handled)
-        span.charge("compute", handling)
+        if span is not None:
+            span.charge("compute", handling)
         result.input_wall += read.latency + handling
         result.bytes_scanned += handled
         result.requests += 1

@@ -58,8 +58,8 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable, Iterator
+from types import GeneratorType
+from typing import Any, Callable, Generator, Iterable
 
 from repro.obs import tracer as _tracer_slot
 from repro.sim.clock import SimClock
@@ -91,7 +91,11 @@ class KernelError(RuntimeError):
 # deferred-I/O collection
 
 
-_COLLECTION_STACK: list[list] = []
+# The plans of the open `collecting_io` blocks, innermost last.  Models on
+# the per-read path test and append to it directly (``if IO_PLANS:
+# IO_PLANS[-1].append(op)``) -- what `io_collection_active` and `defer_io`
+# do, without their two frames (DESIGN.md §16).
+IO_PLANS: list[list] = []
 
 # the kernel currently stepping a process (None outside process context);
 # lets replayed operation generators reach the clock / spawn helpers
@@ -102,30 +106,39 @@ _COLLECTION_STACK: list[list] = []
 _ACTIVE_KERNEL: "Kernel | None" = None
 
 
-@contextmanager
-def collecting_io(plan: list) -> Iterator[list]:
+class collecting_io:  # lower case: it is used like a function, `with collecting_io(plan):`
     """Collect deferred I/O operations into ``plan`` instead of running them.
 
     While active, kernel-attached devices and remote models append
     zero-argument *operation generators* to ``plan`` via :func:`defer_io`
     and report ~0 latency to their synchronous callers.  Replay the plan
     from a process with ``yield from replay_plan(plan)``.
+
+    A class rather than a ``@contextmanager`` generator: it is entered once
+    per simulated read, and this way costs three frames instead of six.
     """
-    _COLLECTION_STACK.append(plan)
-    try:
-        yield plan
-    finally:
-        _COLLECTION_STACK.pop()
+
+    __slots__ = ("plan",)
+
+    def __init__(self, plan: list) -> None:
+        self.plan = plan
+
+    def __enter__(self) -> list:
+        IO_PLANS.append(self.plan)
+        return self.plan
+
+    def __exit__(self, *exc_info: object) -> None:
+        IO_PLANS.pop()
 
 
 def io_collection_active() -> bool:
     """True when inside a :func:`collecting_io` block."""
-    return bool(_COLLECTION_STACK)
+    return bool(IO_PLANS)
 
 
 def defer_io(op: Callable[[], Generator]) -> None:
     """Append an operation generator factory to the active collection plan."""
-    _COLLECTION_STACK[-1].append(op)
+    IO_PLANS[-1].append(op)
 
 
 def replay_plan(plan: list) -> Generator[Any, Any, float]:
@@ -138,11 +151,9 @@ def replay_plan(plan: list) -> Generator[Any, Any, float]:
     total = 0.0
     for op in plan:
         step = op()
-        if hasattr(step, "__next__"):
-            elapsed = yield from step
-        else:
-            elapsed = step
-        total += float(elapsed or 0.0)
+        if isinstance(step, GeneratorType):
+            step = yield from step
+        total += float(step or 0.0)
     return total
 
 

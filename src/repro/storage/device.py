@@ -25,20 +25,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.obs.tracer import current_tracer
 from repro.sim.clock import Clock, SimClock
-from repro.sim.kernel import (
-    Cancelled,
-    Timeout,
-    charge_wasted_bytes,
-    defer_io,
-    io_collection_active,
-)
+from repro.sim.kernel import IO_PLANS, Cancelled, Timeout, charge_wasted_bytes
 
 if TYPE_CHECKING:
-    from repro.core.metrics import MetricsRegistry
+    from repro.core.metrics import Gauge, MetricsRegistry
     from repro.sim.kernel import Kernel, Resource
 
 
@@ -169,7 +164,7 @@ class StorageDevice:
         # for a DataNode's HDD, "cache_ssd" for a cache's SSD)
         self.service_bucket = service_bucket
         # optional registry for the live device_queue_depth /
-        # blocked_processes gauges (kernel mode)
+        # blocked_processes gauges (kernel mode); see `metrics`
         self.metrics = metrics
         # queue wait of the most recent request, for latency attribution
         # (tracing splits a device latency into queueing vs. service time)
@@ -196,30 +191,41 @@ class StorageDevice:
     def kernel_attached(self) -> bool:
         return self._resource is not None
 
+    @property
+    def metrics(self) -> "MetricsRegistry | None":
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: "MetricsRegistry | None") -> None:
+        # the gauge handles are bound on the first kernel transfer (a gauge
+        # appears in a registry only once it has been set) and rebound
+        # after the registry is swapped
+        self._metrics = registry
+        self._gauges: "tuple[Gauge, Gauge] | None" = None
+
     def _submit(self, size: int, is_read: bool) -> float:
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
-        arrival = self.clock.now()
-        bandwidth = (
-            self.profile.read_bandwidth if is_read else self.profile.write_bandwidth
-        )
-        service = self.profile.seek_latency + size / bandwidth
-        if self._resource is not None and io_collection_active():
+        profile = self.profile
+        bandwidth = profile.read_bandwidth if is_read else profile.write_bandwidth
+        service = profile.seek_latency + size / bandwidth
+        stats = self.stats
+        if is_read:
+            stats.reads += 1
+            stats.bytes_read += size
+        else:
+            stats.writes += 1
+            stats.bytes_written += size
+        if IO_PLANS and self._resource is not None:
             # kernel engine: decision-visible counters move at the arrival
             # instant (synchronous callers may inspect them); the transfer
             # itself is deferred to the owning process, which experiences
             # queueing at the device resource.  Timing stats are recorded
             # at replay from measured waits.
-            stats = self.stats
-            if is_read:
-                stats.reads += 1
-                stats.bytes_read += size
-            else:
-                stats.writes += 1
-                stats.bytes_written += size
             self.last_wait = 0.0
-            defer_io(lambda: self._transfer_op(size, service, is_read))
+            IO_PLANS[-1].append(partial(self._transfer_op, size, service, is_read))
             return 0.0
+        arrival = self.clock.now()
         if self._queueing:
             free_at = heapq.heappop(self._channel_free)
             start = max(arrival, free_at)
@@ -231,14 +237,6 @@ class StorageDevice:
             start = arrival
         wait = start - arrival
         self.last_wait = wait
-
-        stats = self.stats
-        if is_read:
-            stats.reads += 1
-            stats.bytes_read += size
-        else:
-            stats.writes += 1
-            stats.bytes_written += size
         if wait > 0:
             stats.blocked_requests += 1
             stats.total_wait += wait
@@ -252,6 +250,16 @@ class StorageDevice:
 
     def read(self, size: int) -> float:
         """Submit a read of ``size`` bytes at the current time; returns latency."""
+        if IO_PLANS and self._resource is not None and size >= 0:
+            # `_submit`'s kernel branch, inlined: every simulated-SSD hit
+            # comes through here, and this is its one frame (DESIGN.md §16)
+            stats = self.stats
+            stats.reads += 1
+            stats.bytes_read += size
+            self.last_wait = 0.0
+            service = self.profile.seek_latency + size / self.profile.read_bandwidth
+            IO_PLANS[-1].append(partial(self._transfer_op, size, service, True))
+            return 0.0
         return self._submit(size, is_read=True)
 
     def write(self, size: int) -> float:
@@ -284,40 +292,56 @@ class StorageDevice:
         Cancellation mid-queue abandons the slot claim; cancellation
         mid-service accounts the bytes already moved (hedge-loser waste)
         and charges the partial time so trace attribution stays exact.
+        With tracing off no span is opened and no charge is made.
         """
         tracer = current_tracer()
         resource = self._resource
         stats = self.stats
-        span_name = "device_read" if is_read else "device_write"
-        with tracer.span(span_name, actor=self.profile.name, size=size) as span:
-            request = resource.request()
+        clock = self.clock
+        span = None
+        if tracer.enabled:
+            span = tracer.span(
+                "device_read" if is_read else "device_write",
+                actor=self.profile.name, size=size,
+            )
+        request = resource.request()
+        try:
             self._update_gauges(tracer)
-            arrival = self.clock.now()
+            arrival = clock.now()
             try:
-                try:
-                    yield request
-                except Cancelled:
-                    span.charge("queueing", self.clock.now() - arrival)
-                    stats.cancelled_requests += 1
-                    raise
-                wait = self.clock.now() - arrival
+                yield request
+            except Cancelled:
+                if span is not None:
+                    span.charge("queueing", clock.now() - arrival)
+                stats.cancelled_requests += 1
+                raise
+            started = clock.now()
+            wait = started - arrival
+            if span is not None:
                 span.charge("queueing", wait)
-                started = self.clock.now()
-                try:
-                    yield Timeout(service)
-                except Cancelled:
-                    served = self.clock.now() - started
+            try:
+                yield Timeout(service)
+            except Cancelled:
+                served = clock.now() - started
+                if span is not None:
                     span.charge(self.service_bucket, served)
-                    moved = int(size * served / service) if service > 0 else 0
-                    stats.cancelled_requests += 1
-                    stats.cancelled_bytes += moved
-                    stats.busy_time += served
-                    charge_wasted_bytes(moved)
-                    raise
+                moved = int(size * served / service) if service > 0 else 0
+                stats.cancelled_requests += 1
+                stats.cancelled_bytes += moved
+                stats.busy_time += served
+                charge_wasted_bytes(moved)
+                raise
+            if span is not None:
                 span.charge(self.service_bucket, service)
-            finally:
-                resource.release(request)
-                self._update_gauges(tracer)
+        except BaseException as exc:
+            if span is not None:  # what `with span:` records
+                span.annotate("error", type(exc).__name__)
+            raise
+        finally:
+            resource.release(request)
+            self._update_gauges(tracer)
+            if span is not None:
+                span.finish()
         stats.busy_time += service
         if wait > 0.0:
             stats.blocked_requests += 1
@@ -331,15 +355,27 @@ class StorageDevice:
         return wait + service
 
     def _update_gauges(self, tracer) -> None:
-        if self.metrics is None or self._resource is None:
-            return
-        exemplar = tracer.current_span_id()
-        self.metrics.gauge("device_queue_depth").set(
-            self._resource.queue_depth, exemplar=exemplar
-        )
-        self.metrics.gauge("blocked_processes").set(
-            self._resource.waiting, exemplar=exemplar
-        )
+        """Publish live occupancy to ``device_queue_depth`` /
+        ``blocked_processes``; an exemplar only when tracing."""
+        gauges = self._gauges
+        if gauges is None:
+            metrics = self._metrics
+            if metrics is None:
+                return
+            gauges = self._gauges = (
+                metrics.gauge("device_queue_depth"),
+                metrics.gauge("blocked_processes"),
+            )
+        depth, blocked = gauges
+        resource = self._resource
+        waiting = resource.waiting
+        if tracer.enabled:
+            exemplar = tracer.current_span_id()
+            depth.set(resource.in_use + waiting, exemplar=exemplar)
+            blocked.set(waiting, exemplar=exemplar)
+        else:  # `Gauge.set` without an exemplar, minus its frame
+            depth.value = resource.in_use + waiting
+            blocked.value = waiting
 
     def queue_depth(self) -> int:
         """Requests currently in flight or waiting (at the clock's now).

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Protocol, runtime_checkable
 
 from repro.errors import FileNotFoundInStorageError
 from repro.obs.tracer import current_tracer
 from repro.sim.kernel import (
+    IO_PLANS,
     Cancelled,
     Timeout,
     charge_wasted_bytes,
     current_kernel,
-    defer_io,
-    io_collection_active,
 )
 from repro.storage.object_store import ObjectStore
 
@@ -33,30 +33,56 @@ class ReadResult:
     latency: float
 
 
-def _remote_transfer_op(actor: str, nbytes: int, latency: float):
-    """Build a replay op experiencing a remote transfer of ``latency`` s.
+# Distinct payload sizes `zero_bytes` keeps.  A simulated scan asks for a
+# handful (the page size, short last pages, a table's column-chunk sizes).
+ZERO_SIZES_KEPT = 64
+
+
+@lru_cache(maxsize=ZERO_SIZES_KEPT)
+def zero_bytes(size: int) -> bytes:
+    """``size`` zero bytes, one shared immutable object per size.
+
+    Simulated sources hand these out instead of a fresh buffer per read: no
+    caller of a simulated read looks at the bytes, only at their length
+    (DESIGN.md §16).  ``bytes`` is immutable, so sharing is safe, and a page
+    store that keeps ``bytes(data)`` keeps a reference, not a copy.
+    """
+    return bytes(size)
+
+
+def _remote_transfer(actor: str, nbytes: int, latency: float):
+    """Replay op: experience a remote transfer of ``latency`` s.
 
     Cancellation mid-transfer charges the partial time and accounts the
-    bytes already streamed as wasted (the hedge-loser signal).
+    bytes already streamed as wasted (the hedge-loser signal).  With
+    tracing off no span is opened and no charge is made.
     """
-
-    def op():
-        tracer = current_tracer()
-        clock = current_kernel().clock
-        with tracer.span("remote_read", actor=actor, size=nbytes) as span:
-            started = clock.now()
-            try:
-                yield Timeout(latency)
-            except Cancelled:
-                moved = clock.now() - started
+    tracer = current_tracer()
+    clock = current_kernel().clock
+    span = None
+    if tracer.enabled:
+        span = tracer.span("remote_read", actor=actor, size=nbytes)
+    try:
+        started = clock.now()
+        try:
+            yield Timeout(latency)
+        except Cancelled:
+            moved = clock.now() - started
+            if span is not None:
                 span.charge("remote", moved)
-                if latency > 0:
-                    charge_wasted_bytes(int(nbytes * moved / latency))
-                raise
+            if latency > 0:
+                charge_wasted_bytes(int(nbytes * moved / latency))
+            raise
+        if span is not None:
             span.charge("remote", latency)
-        return latency
-
-    return op
+    except BaseException as exc:
+        if span is not None:  # what `with span:` records
+            span.annotate("error", type(exc).__name__)
+        raise
+    finally:
+        if span is not None:
+            span.finish()
+    return latency
 
 
 @runtime_checkable
@@ -120,8 +146,10 @@ class SyntheticDataSource:
         self.request_count += 1
         self.bytes_served += len(data)
         latency = self.base_latency + len(data) / self.bandwidth
-        if io_collection_active():
-            defer_io(_remote_transfer_op("synthetic-source", len(data), latency))
+        if IO_PLANS:
+            IO_PLANS[-1].append(
+                partial(_remote_transfer, "synthetic-source", len(data), latency)
+            )
             return ReadResult(data=data, latency=0.0)
         return ReadResult(data=data, latency=latency)
 
@@ -143,6 +171,8 @@ class NullDataSource:
     Benchmarks that only measure latency/byte accounting (not content
     correctness) use this to avoid the hashing cost of
     :class:`SyntheticDataSource` while keeping the identical latency model.
+    Every read of one length returns the same shared :func:`zero_bytes`
+    object.
     """
 
     def __init__(
@@ -177,10 +207,10 @@ class NullDataSource:
         self.request_count += 1
         self.bytes_served += size
         latency = self.base_latency + size / self.bandwidth
-        if io_collection_active():
-            defer_io(_remote_transfer_op("null-source", size, latency))
-            return ReadResult(data=b"\x00" * size, latency=0.0)
-        return ReadResult(data=b"\x00" * size, latency=latency)
+        if IO_PLANS:
+            IO_PLANS[-1].append(partial(_remote_transfer, "null-source", size, latency))
+            return ReadResult(data=zero_bytes(size), latency=0.0)
+        return ReadResult(data=zero_bytes(size), latency=latency)
 
 
 class ObjectStoreDataSource:

@@ -12,6 +12,7 @@ import pytest
 from repro.core import CacheConfig, LocalCacheManager, PageId
 from repro.core.pagestore import FaultPlan, SimulatedSsdPageStore
 from repro.sim.clock import SimClock
+from repro.sim.kernel import Kernel, collecting_io, replay_plan
 from repro.sim.rng import RngStream
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import SyntheticDataSource
@@ -128,3 +129,55 @@ class TestCombinedFaults:
             assert cache.read(file_id, offset, 100, source).data == expected
         assert cache.bytes_used <= cache.capacity_bytes
         assert cache.bytes_used == cache.page_store.bytes_used(0)
+
+
+class TestKernelReadHang:
+    """Section 8's "file read hanging" under the kernel engine: the owning
+    process lives what the cache decided at the arrival instant."""
+
+    PAGE = 4 * KIB
+    TIMEOUT = 10.0
+
+    def replay_hung_hit(self, hang: float):
+        clock = SimClock()
+        kernel = Kernel(clock)
+        device = StorageDevice(DeviceProfile.ssd_local(), clock).attach_kernel(kernel)
+        store = SimulatedSsdPageStore(device)
+        cache = LocalCacheManager(
+            CacheConfig.small(16 * self.PAGE, page_size=self.PAGE),
+            clock=clock, page_store=store,
+        )
+        assert cache.config.read_timeout == self.TIMEOUT  # the default budget
+        source = SyntheticDataSource(base_latency=0.01)
+        source.add_file("f", 8 * self.PAGE)
+        cache.read("f", 0, self.PAGE, source)  # resident now
+        store.faults.hang_reads_seconds = hang
+        replayed = []
+
+        def process():
+            plan = []
+            with collecting_io(plan):
+                result = cache.read("f", 0, self.PAGE, source)
+            replayed.append((result, (yield from replay_plan(plan))))
+
+        kernel.spawn(process())
+        kernel.run()
+        [(result, elapsed)] = replayed
+        assert clock.now() == elapsed
+        return cache, device, source, result, elapsed
+
+    def test_timed_out_read_waits_out_the_budget_not_the_hang(self):
+        cache, device, source, result, elapsed = self.replay_hung_hit(600.0)
+        remote = source.base_latency + self.PAGE / source.bandwidth
+        assert elapsed == self.TIMEOUT + remote  # ~10.01 s, not 600.01 s
+        assert result.fallbacks == 1 and result.page_hits == 0
+        assert cache.metrics.counters()["timeout_fallbacks"] == 1
+        assert cache.contains(PageId("f", 0))  # the data is fine; kept
+        assert device.stats.reads == 0  # the stalled transfer was given up
+
+    def test_hang_inside_the_budget_is_lived_in_full(self):
+        cache, device, __, result, elapsed = self.replay_hung_hit(5.0)
+        ssd = DeviceProfile.ssd_local()
+        assert elapsed == ssd.seek_latency + self.PAGE / ssd.read_bandwidth + 5.0
+        assert result.page_hits == 1 and result.fallbacks == 0
+        assert device.stats.reads == 1

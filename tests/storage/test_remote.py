@@ -112,6 +112,50 @@ class TestNullDataSource:
 
         assert isinstance(NullDataSource(), DataSource)
 
+    @pytest.mark.parametrize(
+        "offset, length, expected",
+        [
+            (0, 4096, 4096),      # a whole page
+            (8192, 4096, 1808),   # the short last page
+            (9000, 4096, 1000),   # past end-of-file: truncated
+            (10_000, 10, 0),      # at end-of-file
+            (20_000, 10, 0),      # beyond it
+            (123, 0, 0),          # zero-length
+        ],
+    )
+    def test_payload_contract(self, offset, length, expected):
+        from repro.storage.remote import NullDataSource
+
+        source = NullDataSource()
+        source.add_file("f", 10_000)
+        data = source.read("f", offset, length).data
+        assert type(data) is bytes
+        assert len(data) == expected
+        assert data == bytes(expected)
+        assert source.request_count == 1
+        assert source.bytes_served == expected
+
+    def test_one_shared_payload_per_size(self):
+        from repro.storage.remote import NullDataSource
+
+        source, other = NullDataSource(), NullDataSource()
+        source.add_file("f", 1 << 20)
+        other.add_file("g", 1 << 20)
+        page = source.read("f", 0, 4096).data
+        assert source.read("f", 4096, 4096).data is page
+        assert other.read("g", 0, 4096).data is page
+
+    def test_zero_cache_stays_bounded(self):
+        from repro.storage.remote import ZERO_SIZES_KEPT, NullDataSource, zero_bytes
+
+        source = NullDataSource()
+        source.add_file("f", 20_000)
+        for size in range(1, 10_001):
+            assert len(source.read("f", 0, size).data) == size
+        assert zero_bytes.cache_info().currsize <= ZERO_SIZES_KEPT
+        assert source.request_count == 10_000
+        assert source.bytes_served == 10_000 * 10_001 // 2
+
 
 class TestObjectStoreDataSource:
     def test_roundtrip(self):
