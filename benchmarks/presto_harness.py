@@ -98,9 +98,10 @@ def run_cold_vs_warm(queries: list[QueryProfile], **cluster_kwargs) -> ColdWarmR
     cluster (the Figure 9 protocol)."""
     cold_cluster = make_cluster(cache_enabled=False, **cluster_kwargs)
     warm_cluster = make_cluster(cache_enabled=True, **cluster_kwargs)
-    warm_cluster.coordinator.run_queries(queries)  # pre-load the cache
-    cold = cold_cluster.coordinator.run_queries(queries)
-    warm = warm_cluster.coordinator.run_queries(queries)
+    for query in queries:  # pre-load the cache
+        warm_cluster.coordinator.run_query(query)
+    cold = [cold_cluster.coordinator.run_query(q) for q in queries]
+    warm = [warm_cluster.coordinator.run_query(q) for q in queries]
     return ColdWarmResult(
         query_ids=[q.query_id for q in queries],
         cold_walls=[r.wall_seconds for r in cold],

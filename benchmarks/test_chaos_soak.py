@@ -60,7 +60,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.object_store import ObjectStore
@@ -199,7 +199,7 @@ def _run_soak(
         offline_timeout=900.0,
     )
 
-    loop = EventLoop(clock)
+    loop = Kernel(clock)
     if profiler is not None:
         loop.attach_profiler(profiler)
     chaos = ChaosInjector(clock=clock, rng=root.child("chaos"))

@@ -57,7 +57,7 @@ from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
 from repro.resilience.health import NodeHealthTracker
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel, Timeout
+from repro.sim.kernel import Timeout
 from repro.sim.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.remote import NullDataSource
@@ -199,8 +199,7 @@ def _run(
     )
     cluster.membership.track_keys(file_ids)
 
-    kernel = Kernel(clock)
-    cluster.attach_kernel(kernel)
+    kernel = cluster.kernel
     rebalancer = ShardRebalancer(strategy="prefetch", max_keys_per_event=512)
     lifecycle = ClusterLifecycle(
         cluster, kernel=kernel, rebalancer=rebalancer, health=health
@@ -246,7 +245,6 @@ def _run(
     arrivals = _build_arrivals(seed, max_queries)
     results = cluster.coordinator.run_concurrent_kernel(
         arrivals,
-        kernel=kernel,
         worker_concurrency=WORKER_CONCURRENCY,
         admission=admission,
     )

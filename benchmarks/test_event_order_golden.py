@@ -34,6 +34,16 @@ tracing-on results alone.  Both were recorded from the commit before the
 simulated-read fast path; re-record with
 ``PYTHONPATH=src python benchmarks/test_event_order_golden.py``.
 
+``presto_serial`` pins the one-query-at-a-time (Figure 9) protocol: the
+first 30 TPC-DS profiles, two passes, cache off and on, each query's
+``(query_id, wall, input_wall, splits, affinity_hits)`` and each worker's
+hit/miss/eviction counters.  It was recorded on the serial analytic loop
+the coordinator had before the kernel loop became its only one, and the
+kernel loop matches it on every row but the cache-on cold pass.  There a
+miss now pays for its SSD page write, so those walls are pinned again
+under ``cold_cache_on_rerecorded`` (never shorter, same splits and
+affinity).  Re-record with ``... test_event_order_golden.py presto_serial``.
+
 Run explicitly (benchmarks are not part of tier-1)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_event_order_golden.py -q
@@ -43,6 +53,7 @@ import json
 from pathlib import Path
 
 import pytest
+import presto_harness
 import test_chaos_soak as chaos_soak
 import test_churn_soak as churn_soak
 
@@ -55,7 +66,6 @@ from repro.obs.tracer import SimTracer, current_tracer
 from repro.ports.rng import RngStream
 from repro.presto.coordinator import PrestoCluster
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel
 from repro.sim.sanitizer import DeterminismHarness
 from repro.workload.tpcds import build_tpcds_catalog_fast, tpcds_queries
 
@@ -84,8 +94,7 @@ def run_presto_tpcds_kernel(trace, seed: int) -> dict:
         catalog, source, n_workers=4, cache_capacity_bytes=32 * MIB,
         page_size=MIB, target_split_size=8 * MIB, clock=clock,
     )
-    kernel = Kernel(clock)
-    cluster.attach_kernel(kernel)
+    kernel = cluster.kernel
     queries = tpcds_queries()
     order = RngStream(seed, "golden/presto_tpcds_kernel/order").rng.permutation(
         len(queries)
@@ -93,7 +102,7 @@ def run_presto_tpcds_kernel(trace, seed: int) -> dict:
     arrivals = [(0.5 * slot, queries[int(pick)]) for slot, pick in enumerate(order)]
     with installed_time_source(clock.now):
         replies = cluster.coordinator.run_concurrent_kernel(
-            arrivals, kernel=kernel, worker_concurrency=4
+            arrivals, worker_concurrency=4
         )
     for (arrival, query), reply in zip(arrivals, replies):
         assert reply.query_id == query.query_id and not reply.shed
@@ -129,6 +138,48 @@ def run_presto_tpcds_kernel(trace, seed: int) -> dict:
         facts["spans"] = len(spans)
         facts["tree_signature"] = tree_signature(spans)
         facts["attribution"] = aggregate(attribute_buffer(tracer.buffer))
+    return facts
+
+
+SERIAL_QUERIES = 30
+SERIAL_PASSES = 2
+SERIAL_COUNTERS = ("get_hits", "get_misses", "evictions")
+
+
+def run_presto_serial() -> dict:
+    """The one-query-at-a-time (Fig 9) protocol over the first
+    ``SERIAL_QUERIES`` TPC-DS profiles, ``SERIAL_PASSES`` passes, on a
+    ``presto_harness`` cluster with the cache off and on.
+
+    Per pass it pins each query's ``(query_id, wall, input_wall, splits,
+    affinity_hits)`` and each worker's hit/miss/eviction counters.
+    """
+    queries = tpcds_queries()[:SERIAL_QUERIES]
+    facts = {}
+    for arm, cache_enabled in (("cache_off", False), ("cache_on", True)):
+        clock = SimClock()
+        cluster = presto_harness.make_cluster(
+            cache_enabled=cache_enabled, clock=clock
+        )
+        passes = []
+        with installed_time_source(clock.now):
+            for __ in range(SERIAL_PASSES):
+                rows = []
+                for query in queries:
+                    result = cluster.coordinator.run_query(query)
+                    stats = result.stats
+                    rows.append([
+                        query.query_id, round(result.wall_seconds, 9),
+                        round(stats.input_wall, 9), stats.splits,
+                        stats.affinity_hits,
+                    ])
+                workers = {
+                    name: [worker.metrics.counter(c).value
+                           for c in SERIAL_COUNTERS]
+                    for name, worker in sorted(cluster.workers.items())
+                }
+                passes.append({"rows": rows, "workers": workers})
+        facts[arm] = passes
     return facts
 
 
@@ -228,11 +279,36 @@ class TestGoldenEventOrder:
             assert facts[key] == pinned, f"{name}: {key} moved: {_REPIN_HINT}"
         assert facts.keys() == spec["facts"].keys()
 
+    def test_presto_serial_matches_pinned_rows(self):
+        spec = GOLDEN["scenarios"]["presto_serial"]
+        facts = run_presto_serial()
+        cold = spec["cold_cache_on_rerecorded"]["rows"]
+        for arm, passes in spec["facts"].items():
+            for index, pinned in enumerate(passes):
+                got = facts[arm][index]
+                assert got["workers"] == pinned["workers"], (arm, index)
+                if (arm, index) != ("cache_on", 0):
+                    assert got["rows"] == pinned["rows"], (arm, index)
+                    continue
+                assert got["rows"] == cold
+                for now, then in zip(cold, pinned["rows"]):
+                    assert now[0] == then[0] and now[3:] == then[3:]
+                    assert now[1] >= then[1] and now[2] >= then[2]
+
 
 if __name__ == "__main__":
-    for traced in (False, True):
-        report = presto_report(traced)
-        name = "presto_tpcds_kernel" + ("_traced" if traced else "")
+    import sys
+
+    # re-record the named scenarios (default: the two kernel rounds)
+    wanted = sys.argv[1:] or ["presto_tpcds_kernel", "presto_tpcds_kernel_traced"]
+    for name in wanted:
+        if name == "presto_serial":
+            facts = run_presto_serial()
+            spec = GOLDEN["scenarios"][name]
+            spec["facts"] = facts
+            spec["cold_cache_on_rerecorded"]["rows"] = facts["cache_on"][0]["rows"]
+            continue
+        report = presto_report(traced=name.endswith("_traced"))
         GOLDEN["scenarios"][name] = {
             "seed": PRESTO_SEED,
             "events": report.events_first,

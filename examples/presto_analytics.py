@@ -35,8 +35,9 @@ def main() -> None:
     print(f"running   : {len(queries)} TPC-DS-shaped queries, twice "
           f"(cold then warm)\n")
 
-    cold = cluster.coordinator.run_queries(queries)
-    warm = cluster.coordinator.run_queries(queries)
+    # one query at a time on an otherwise idle cluster
+    cold = [cluster.coordinator.run_query(q) for q in queries]
+    warm = [cluster.coordinator.run_query(q) for q in queries]
 
     print(f"{'query':<6} {'cold (s)':>9} {'warm (s)':>9} {'speedup':>8} "
           f"{'hit ratio':>10}")

@@ -46,7 +46,6 @@ _EXPORTS = {
     "MetricsRegistry": "repro.core",
     "PageId": "repro.core",
     "QuotaManager": "repro.core",
-    "EventLoop": "repro.sim",
     "SimClock": "repro.ports",
     "RngStream": "repro.ports",
 }
@@ -76,7 +75,6 @@ __all__ = [
     "QuotaManager",
     "MetricsRegistry",
     "SimClock",
-    "EventLoop",
     "RngStream",
     "__version__",
 ]

@@ -94,8 +94,9 @@ class LocalCacheManager:
         metrics: metrics registry; created if not supplied.
         rng: random stream (random eviction, quota randomization).
         event_loop: any :class:`~repro.ports.concurrency.SchedulerPort`
-            (the kernel's ``EventLoop``, or the service scheduler); when
-            supplied, a periodic TTL sweep is scheduled on it.
+            (a ``KernelScheduler`` over the sim kernel, or the service
+            scheduler); when supplied, a periodic TTL sweep is scheduled
+            on it.
     """
 
     def __init__(

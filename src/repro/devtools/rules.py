@@ -465,7 +465,7 @@ class SimPurityRule(Rule):
                     yield self.finding(
                         path, node,
                         f"`{chain}` blocks real time inside the simulation",
-                        "schedule a callback on the EventLoop at "
+                        "schedule a callback with Kernel.call_at at "
                         "clock.now() + delay instead",
                         lines,
                     )

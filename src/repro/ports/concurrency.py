@@ -5,8 +5,8 @@ maintenance (TTL sweeps) is registered against a :class:`SchedulerPort`
 and blocking work can be pushed through an :class:`ExecutorPort`; each
 transport supplies its own implementation:
 
-- the virtual-time kernel satisfies :class:`SchedulerPort` directly via
-  ``EventLoop.schedule_periodic`` / ``Kernel.call_periodic``;
+- the virtual-time kernel satisfies :class:`SchedulerPort` through
+  ``repro.service.sim_transport.KernelScheduler`` (``Kernel.call_periodic``);
 - the asyncio service wraps ``loop.call_later`` rearming and a thread
   pool;
 - unit tests use :class:`InlineExecutor` and drive sweeps by hand.

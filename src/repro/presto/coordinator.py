@@ -7,10 +7,13 @@ simulator's unit of work is a :class:`~repro.workload.tpcds.QueryProfile`
 follows the scan); the coordinator plans it into splits, schedules them
 through a pluggable scheduler, and reports per-query runtime stats.
 
-Execution timing model: workers process their assigned splits serially and
-run in parallel with each other, so a query's scan wall time is the maximum
-per-worker busy time for that query; downstream compute (joins,
-aggregations) is charged on top.
+Execution runs on the cluster's event kernel (:meth:`Coordinator.
+run_concurrent_kernel`): each query is a process, each worker a pool of
+split executors fed by a FIFO channel, and device and remote I/O queue for
+real.  Running one query at a time with one executor per worker (Figure 9's
+protocol, :meth:`Coordinator.run_query`) makes a query's scan wall the
+largest per-worker busy time; downstream compute (joins, aggregations) is
+charged on top.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from repro.errors import SchedulerError
 from repro.obs.tracer import current_tracer
 from repro.presto.catalog import Catalog
 from repro.presto.hashring import ConsistentHashRing
-from repro.presto.operators import OperatorResult, ScanProfile
+from repro.presto.operators import ScanProfile
 from repro.presto.runtime_stats import QueryRuntimeStats, RuntimeStatsAggregator
-from repro.presto.scheduler import RandomScheduler, SchedulerDecision, SoftAffinityScheduler
+from repro.presto.scheduler import RandomScheduler, SoftAffinityScheduler
 from repro.presto.split import Split, splits_for_file
 from repro.presto.worker import Worker
 from repro.resilience.health import NodeHealthTracker
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Timeout, all_of
+from repro.sim.kernel import Kernel, Timeout, all_of
 from repro.sim.rng import RngStream
 from repro.presto.query import QueryProfile
 from repro.storage.remote import DataSource
@@ -63,7 +66,8 @@ class PrestoCluster:
     Build with :meth:`create`, then run queries through
     :attr:`coordinator`.  ``ring`` is the membership's hash ring (kept as
     a field for read-path consumers; mutate membership, never the ring --
-    replint CHN001).
+    replint CHN001).  ``kernel`` is the event kernel the cluster's devices
+    are attached to and its queries run on.
     """
 
     coordinator: "Coordinator"
@@ -71,6 +75,10 @@ class PrestoCluster:
     ring: ConsistentHashRing
     membership: "ClusterMembership | None" = None
     worker_factory: "Callable[[str], Worker] | None" = None
+
+    @property
+    def kernel(self) -> Kernel | None:
+        return self.coordinator.kernel
 
     @classmethod
     def create(
@@ -148,11 +156,13 @@ class PrestoCluster:
         return cls(
             coordinator=coordinator, workers=workers, ring=ring,
             membership=membership, worker_factory=worker_factory,
-        )
+        ).attach_kernel(Kernel(clock))
 
-    def attach_kernel(self, kernel) -> "PrestoCluster":
+    def attach_kernel(self, kernel: Kernel) -> "PrestoCluster":
         """Attach every worker's devices (and the shared source, when it
-        supports it) to an event kernel for :meth:`Coordinator.run_concurrent_kernel`."""
+        supports it) to ``kernel`` and make it the one the coordinator
+        runs queries on."""
+        self.coordinator.kernel = kernel
         for worker in self.workers.values():
             worker.attach_kernel(kernel)
             # unwrap resilience/data-source layers down to something with
@@ -188,7 +198,7 @@ class _ExecutorPool:
         self._factory = executor_factory
         self.channels: dict[str, object] = {}
         self.in_flight: dict[str, int] = {}
-        self.executors: dict[str, list] = {}
+        self.executors: list = []
         self._retired: set[str] = set()
 
     def ensure(self, name: str) -> None:
@@ -203,10 +213,10 @@ class _ExecutorPool:
             # rejoining a retired name: clear leftover poison pills
             self.channels[name].drain()
         self._retired.discard(name)
-        self.executors[name] = [
+        self.executors.extend(
             self.kernel.spawn(self._factory(name), name=f"executor/{name}/{i}")
             for i in range(self.concurrency)
-        ]
+        )
 
     def retire(self, name: str) -> None:
         """Fail queued splits over and poison the executors (permanent
@@ -237,6 +247,12 @@ class _ExecutorPool:
             for __ in range(self.concurrency):
                 chan.put(None)
 
+    def cancel(self) -> None:
+        """Cancel every executor still parked or mid-split (a run that
+        raised never reaches :meth:`shutdown`)."""
+        for proc in self.executors:
+            proc.cancel("executor pool cancelled")
+
 
 class Coordinator:
     """Plans queries into splits and drives worker execution."""
@@ -261,6 +277,8 @@ class Coordinator:
         self.metrics = metrics if metrics is not None else MetricsRegistry("coordinator")
         self.aggregator = RuntimeStatsAggregator()
         self.split_failovers = 0
+        # set by PrestoCluster.attach_kernel; run_concurrent_kernel's default
+        self.kernel: Kernel | None = None
         self._pool: _ExecutorPool | None = None
 
     # -- membership hooks (called by repro.cluster.lifecycle) ----------------
@@ -319,206 +337,18 @@ class Coordinator:
                 names = healthy
         return names
 
-    def _execute_with_failover(
-        self,
-        split: Split,
-        profile: ScanProfile,
-        stats: QueryRuntimeStats,
-        load: dict[str, int],
-    ) -> tuple[SchedulerDecision, OperatorResult, int]:
-        """Assign and run one split, rescheduling when a worker crashes
-        mid-query; returns ``(decision, result, probes_charged)``.
-
-        A crashed worker is dropped from this query's load view so the
-        scheduler stops picking it; the split itself is retried elsewhere
-        (splits are idempotent scans).
-        """
-        probes_charged = 0
-        while True:
-            if not load:
-                raise SchedulerError(
-                    f"no workers left to run split of {split.qualified_table}"
-                )
-            decision = self.scheduler.assign(split, load)
-            probes_charged += max(decision.probes - 1, 0)
-            worker = self.workers[decision.worker]
-            try:
-                result = worker.execute_split(
-                    split, profile, stats, bypass_cache=decision.bypass_cache
-                )
-            except ConnectionError as exc:
-                self.split_failovers += 1
-                self.metrics.counter("failovers").inc()
-                self.metrics.record_error("execute_split", exc)
-                current_tracer().current().event(
-                    "split_failover", worker=decision.worker
-                )
-                if self.health is not None:
-                    self.health.record_failure(decision.worker)
-                load.pop(decision.worker, None)
-                continue
-            if self.health is not None:
-                self.health.record_success(decision.worker)
-            return decision, result, probes_charged
-
     def run_query(self, query: QueryProfile) -> QueryResult:
-        """Plan, schedule, and execute one query; record its stats.
-
-        When tracing is enabled the query becomes one trace: a ``query``
-        root span over per-split ``execute_split`` children.  Attribution
-        reconciles against the *resource-seconds* the query consumed
-        (``stats.input_wall + stats.compute_wall + compute_seconds`` --
-        the ``QueryRuntimeStats`` totals); the parallel makespan
-        ``wall_seconds`` is annotated separately as ``makespan``.
-        """
-        tracer = current_tracer()
-        with tracer.span(
-            "query", actor="coordinator", query_id=query.query_id
-        ) as qspan:
-            stats = QueryRuntimeStats(query_id=query.query_id)
-            stats.tables = [scan.table for scan in query.scans]
-            planned = self.plan(query)
-            stats.splits = len(planned)
-            partitions_touched: set[str] = set()
-
-            schedulable = self._schedulable_workers()
-            if not schedulable:
-                raise SchedulerError("no online workers to run the query")
-            load = {name: 0 for name in schedulable}
-            per_worker_busy = {name: 0.0 for name in self.workers}
-            probe_latency = getattr(self.scheduler, "probe_latency", 0.0)
-            scheduling_wall = 0.0
-            for split, profile in planned:
-                decision, result, probes = self._execute_with_failover(
-                    split, profile, stats, load
-                )
-                scheduling_wall += probes * probe_latency
-                load[decision.worker] += 1
-                if decision.affinity:
-                    stats.affinity_hits += 1
-                if decision.bypass_cache:
-                    stats.cache_bypassed_splits += 1
-                per_worker_busy[decision.worker] += result.input_wall + result.cpu_time
-                partitions_touched.add(f"{split.qualified_table}/{split.partition}")
-
-            stats.partitions = sorted(partitions_touched)
-            scan_wall = max(per_worker_busy.values()) if per_worker_busy else 0.0
-            wall = scan_wall + query.compute_seconds + scheduling_wall
-            stats.input_wall += scheduling_wall
-            stats.total_wall = wall
-            qspan.charge("queueing", scheduling_wall)
-            qspan.charge("compute", query.compute_seconds)
-            qspan.annotate(
-                "wall", stats.input_wall + stats.compute_wall + query.compute_seconds
-            )
-            qspan.annotate("makespan", wall)
-            qspan.annotate("splits", stats.splits)
-            self.metrics.histogram("query_wall_seconds").observe(
-                wall, exemplar=qspan.span_id or None
-            )
-            self.aggregator.record(stats)
-            return QueryResult(query_id=query.query_id, wall_seconds=wall, stats=stats)
-
-    def run_queries(self, queries: list[QueryProfile]) -> list[QueryResult]:
-        return [self.run_query(q) for q in queries]
-
-    def run_concurrent(
-        self, arrivals: list[tuple[float, QueryProfile]]
-    ) -> list[QueryResult]:
-        """Execute queries that overlap in time, with cross-query queueing.
-
-        Production clusters run hundreds of queries at once; a worker busy
-        with one query's splits delays the next query's.  The model: each
-        worker serves its split queue serially in virtual time, so a split
-        starts at ``max(query_arrival, worker_free_at)``; a query finishes
-        when its last split completes plus its downstream compute.
-        Scheduling decisions see the *current backlog* (splits assigned but
-        not yet finished at the query's arrival), so soft-affinity's busy
-        fallback engages exactly when the paper says it should: under hot-
-        spot pressure.
-
-        Args:
-            arrivals: ``(arrival_time, query)`` pairs; processed in time
-                order.
-
-        Returns per-query results whose ``wall_seconds`` is the full
-        arrival-to-completion latency (queueing included).
-        """
-        probe_latency = getattr(self.scheduler, "probe_latency", 0.0)
-        worker_free_at = {name: 0.0 for name in self.workers}
-        # completion times of splits already assigned per worker; entries
-        # still in the future at a query's arrival form that worker's
-        # backlog, which is what the scheduler's busy check inspects
-        outstanding: dict[str, list[float]] = {name: [] for name in self.workers}
-        results: list[QueryResult] = []
-        tracer = current_tracer()
-        for arrival, query in sorted(arrivals, key=lambda pair: pair[0]):
-            with tracer.span(
-                "query", actor="coordinator",
-                query_id=query.query_id, arrival=arrival,
-            ) as qspan:
-                stats = QueryRuntimeStats(query_id=query.query_id)
-                stats.tables = [scan.table for scan in query.scans]
-                planned = self.plan(query)
-                stats.splits = len(planned)
-                partitions_touched: set[str] = set()
-                scheduling_wall = 0.0
-                queue_wait = 0.0
-                completion = arrival
-                for name in self.workers:
-                    outstanding[name] = [
-                        t for t in outstanding[name] if t > arrival
-                    ]
-                for split, profile in planned:
-                    backlog = {
-                        name: len(pending) for name, pending in outstanding.items()
-                    }
-                    decision = self.scheduler.assign(split, backlog)
-                    scheduling_wall += max(decision.probes - 1, 0) * probe_latency
-                    if decision.affinity:
-                        stats.affinity_hits += 1
-                    if decision.bypass_cache:
-                        stats.cache_bypassed_splits += 1
-                    worker = self.workers[decision.worker]
-                    result = worker.execute_split(
-                        split, profile, stats, bypass_cache=decision.bypass_cache
-                    )
-                    start = max(arrival, worker_free_at[decision.worker])
-                    queue_wait += start - arrival
-                    finish = start + result.input_wall + result.cpu_time
-                    worker_free_at[decision.worker] = finish
-                    outstanding[decision.worker].append(finish)
-                    completion = max(completion, finish)
-                    partitions_touched.add(
-                        f"{split.qualified_table}/{split.partition}"
-                    )
-                stats.partitions = sorted(partitions_touched)
-                wall = (completion - arrival) + query.compute_seconds + scheduling_wall
-                stats.total_wall = wall
-                stats.input_wall += scheduling_wall
-                qspan.charge("queueing", scheduling_wall)
-                qspan.charge("compute", query.compute_seconds)
-                qspan.annotate(
-                    "wall",
-                    stats.input_wall + stats.compute_wall + query.compute_seconds,
-                )
-                qspan.annotate("makespan", wall)
-                qspan.annotate("queue_wait", queue_wait)
-                self.metrics.histogram("query_wall_seconds").observe(
-                    wall, exemplar=qspan.span_id or None
-                )
-                self.aggregator.record(stats)
-                results.append(
-                    QueryResult(query_id=query.query_id, wall_seconds=wall,
-                                stats=stats)
-                )
-        return results
+        """One query on an otherwise idle cluster (the Figure 9 protocol):
+        the kernel loop with one arrival now and serial workers."""
+        return self.run_concurrent_kernel(
+            [(self.kernel.clock.now(), query)], worker_concurrency=1
+        )[0]
 
     def run_concurrent_kernel(
         self,
         arrivals: list[tuple[float, QueryProfile]],
         *,
-        kernel,
+        kernel: Kernel | None = None,
         worker_concurrency: int = 4,
         admission=None,
     ) -> list[QueryResult]:
@@ -528,11 +358,9 @@ class Coordinator:
         fed by a FIFO channel; each query is a process spawned at its
         arrival time that schedules splits against the *live* in-flight
         backlog, submits them, and waits for their completions.  A split
-        whose worker crashes mid-flight is rescheduled elsewhere, exactly
-        as :meth:`_execute_with_failover` does analytically.  Queue waits,
-        device contention, and hedging all come out of the kernel rather
-        than the serial ``worker_free_at`` bookkeeping of
-        :meth:`run_concurrent`.
+        whose worker crashes mid-flight is rescheduled on the survivors.
+        Queue waits, device contention, and hedging all come out of the
+        kernel.
 
         Membership may change mid-run: :meth:`add_worker` /
         :meth:`remove_worker` (driven by
@@ -547,10 +375,15 @@ class Coordinator:
         wait to their ``queueing`` bucket, and degraded queries run with
         cluster-wide cache bypass.
 
-        The cluster must be kernel-attached first
-        (:meth:`PrestoCluster.attach_kernel`).  Drives ``kernel.run()``
-        to completion and returns per-query results in arrival order.
+        ``kernel`` defaults to the one :meth:`PrestoCluster.attach_kernel`
+        bound (``PrestoCluster.create`` binds one on the cluster's clock).
+        Drives ``kernel.run()`` to completion and returns per-query results
+        in arrival order.  A run that raises cancels every process it
+        spawned, leaving the kernel empty for the next run.
         """
+        kernel = kernel if kernel is not None else self.kernel
+        if kernel is None:
+            raise ValueError("no kernel: attach one with PrestoCluster.attach_kernel")
         if worker_concurrency < 1:
             raise ValueError(
                 f"worker_concurrency must be >= 1, got {worker_concurrency}"
@@ -708,6 +541,12 @@ class Coordinator:
                 if ticket is not None:
                     admission.release(ticket)
 
+        def supervisor():
+            yield all_of(*query_procs)
+            pool.shutdown()
+
+        query_procs: list = []
+        supervising = None
         self._pool = pool
         try:
             for name in self.workers:
@@ -720,15 +559,18 @@ class Coordinator:
                 )
                 for arrival, query in ordered
             ]
-
-            def supervisor():
-                yield all_of(*query_procs)
-                pool.shutdown()
-
-            kernel.spawn(supervisor())
+            supervising = kernel.spawn(supervisor())
             kernel.run()
         finally:
             self._pool = None
+            # after a raise, the supervisor, queries and executors may still
+            # be queued or parked: cancel them so the kernel is reusable
+            # (on success every one has finished and cancel is a no-op)
+            if supervising is not None:
+                supervising.cancel("run_concurrent_kernel aborted")
+            for proc in query_procs:
+                proc.cancel("run_concurrent_kernel aborted")
+            pool.cancel()
         for proc in query_procs:
             if proc.exception is not None:
                 raise proc.exception

@@ -8,11 +8,7 @@ from repro.core.config import CacheConfig, CacheDirectory, MIB
 from repro.core.metrics import MetricsRegistry
 from repro.core.quota import QuotaManager
 from repro.presto.metadata_cache import MetadataCache
-from repro.presto.operators import (
-    OperatorResult,
-    ScanFilterProjectOperator,
-    ScanProfile,
-)
+from repro.presto.operators import ScanFilterProjectOperator, ScanProfile
 from repro.obs.tracer import current_tracer
 from repro.presto.split import Split
 from repro.presto.runtime_stats import QueryRuntimeStats
@@ -107,32 +103,6 @@ class Worker:
         self.metrics.counter("cache_wipes").inc()
         return removed
 
-    def execute_split(
-        self,
-        split: Split,
-        profile: ScanProfile,
-        stats: QueryRuntimeStats | None = None,
-        *,
-        bypass_cache: bool = False,
-    ) -> OperatorResult:
-        """Run one split scan; accumulates this worker's busy time."""
-        if not self.online:
-            raise ConnectionError(f"presto worker {self.name} is offline")
-        tracer = current_tracer()
-        with tracer.span(
-            "execute_split", actor=self.name,
-            file_id=split.file_id, table=split.qualified_table,
-        ) as span:
-            result = self._operator.execute(
-                split, profile, stats, bypass_cache=bypass_cache
-            )
-            elapsed = result.input_wall + result.cpu_time
-            span.annotate("input_wall", result.input_wall)
-            span.annotate("cpu_time", result.cpu_time)
-            self.busy_seconds += elapsed
-            self.splits_executed += 1
-            return result
-
     def execute_split_proc(
         self,
         split: Split,
@@ -144,11 +114,11 @@ class Worker:
         """Kernel-process split scan: IO is *lived* rather than summed.
 
         The operator runs synchronously under IO collection (cache
-        decisions, admission, and chaos resolve at the arrival instant,
-        exactly as in analytic mode) and its deferred IO plan is then
-        replayed -- the process queues in device/remote FIFOs alongside
-        every other in-flight split.  CPU and input-handling costs become
-        a kernel timer.  ``yield from`` this inside a kernel process.
+        decisions, admission, and chaos resolve at the arrival instant)
+        and its deferred IO plan is then replayed -- the process queues in
+        device/remote FIFOs alongside every other in-flight split.  CPU and input-handling costs become
+        a kernel timer.  ``yield from`` this inside a kernel process (the
+        coordinator's split executors do).
         """
         if not self.online:
             raise ConnectionError(f"presto worker {self.name} is offline")

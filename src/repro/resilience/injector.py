@@ -6,7 +6,7 @@ actor in the cluster:
 
 - **crash/revive/restart** any registered node (cache workers, DataNodes,
   Presto workers, cached DataNodes) -- immediately, on an
-  :class:`~repro.sim.events.EventLoop` schedule, or probabilistically;
+  :class:`~repro.sim.kernel.Kernel` timer schedule, or probabilistically;
 - **delay / fail / corrupt** remote requests through a
   :class:`RemoteFaultState` attached to an
   :class:`~repro.storage.object_store.ObjectStore` or a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.core.metrics import MetricsRegistry
 from repro.errors import RemoteCorruptionError, RemoteReadError
 from repro.sim.clock import Clock, SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStream
 from repro.storage.remote import DataSource, ReadResult
 
@@ -194,17 +194,17 @@ class ChaosInjector:
         self._record("restart", name)
 
     def schedule_crash(
-        self, loop: EventLoop, name: str, at: float, duration: float
+        self, loop: Kernel, name: str, at: float, duration: float
     ) -> None:
         """Crash ``name`` at virtual time ``at`` and revive it after
         ``duration`` seconds (a fault window)."""
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        loop.schedule(at, lambda: self.crash(name))
-        loop.schedule(at + duration, lambda: self.revive(name))
+        loop.call_at(at, lambda: self.crash(name))
+        loop.call_at(at + duration, lambda: self.revive(name))
 
-    def schedule_restart(self, loop: EventLoop, name: str, at: float) -> None:
-        loop.schedule(at, lambda: self.restart(name))
+    def schedule_restart(self, loop: Kernel, name: str, at: float) -> None:
+        loop.call_at(at, lambda: self.restart(name))
 
     def maybe_crash(self, name: str, probability: float) -> bool:
         """Crash ``name`` with the given probability (one rng draw)."""

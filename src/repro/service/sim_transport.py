@@ -32,10 +32,10 @@ from repro.core.config import CacheConfig
 from repro.core.engine import CacheEngine
 from repro.core.pagestore.simulated import SimulatedSsdPageStore
 from repro.ports.clock import SimClock
-from repro.sim.events import EventLoop
 from repro.sim.kernel import Kernel, collecting_io, replay_plan
 
 if TYPE_CHECKING:
+    from repro.ports.concurrency import SchedulerPort
     from repro.storage.remote import DataSource
 
 
@@ -49,7 +49,7 @@ def build_sim_cache(
     quota=None,
     metrics=None,
     rng=None,
-    event_loop: EventLoop | None = None,
+    event_loop: "SchedulerPort | None" = None,
 ) -> LocalCacheManager:
     """Construct the cache core for a virtual-time caller.
 
@@ -98,18 +98,11 @@ def build_sim_engine(
         clock = kernel.clock
     elif clock is None:
         clock = SimClock()
-    scheduler = None
-    if kernel is not None:
-        scheduler = (
-            kernel
-            if hasattr(kernel, "schedule_periodic")
-            else _KernelScheduler(kernel)
-        )
     return CacheEngine(
         config,
         source=source,
         clock=clock,
-        scheduler=scheduler,
+        scheduler=KernelScheduler(kernel) if kernel is not None else None,
         page_store=SimulatedSsdPageStore(device) if device is not None else None,
         admission=admission,
         quota=quota,
@@ -118,8 +111,9 @@ def build_sim_engine(
     )
 
 
-class _KernelScheduler:
-    """Adapt a bare :class:`Kernel` to the ``SchedulerPort`` verb."""
+class KernelScheduler:
+    """Adapt a :class:`Kernel` to the ``SchedulerPort`` verb: the one way
+    virtual-time callers hand the cache core its periodic TTL sweep."""
 
     __slots__ = ("_kernel",)
 

@@ -9,8 +9,6 @@ their *shape* on a virtual clock.  The kernel is intentionally small:
   Resource`/:class:`~repro.sim.kernel.Channel` primitives with real queues
   and cancellation, plus the timer API for periodic background jobs (TTL
   eviction sweeps, rate-limiter bucket rotation, metrics flushes).
-  :class:`~repro.sim.events.EventLoop` is the legacy name for the timer
-  surface.
 - :class:`~repro.sim.rng.RngStream` -- named, seeded random streams so every
   experiment is reproducible bit-for-bit.
 - :mod:`repro.sim.sanitizer` -- the runtime determinism sanitizer: a
@@ -24,7 +22,6 @@ that *block* on device resources so queue depth is measured, not derived.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
 from repro.sim.kernel import (
     AllOf,
     AnyOf,
@@ -56,7 +53,6 @@ from repro.sim.sanitizer import (
 
 __all__ = [
     "SimClock",
-    "EventLoop",
     "Kernel",
     "KernelError",
     "SimMode",

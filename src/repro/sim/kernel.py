@@ -42,11 +42,10 @@ module supplies the missing substrate:
   at kernel resources.  Decisions happen at the arrival instant exactly
   as in analytic mode (so hit ratios agree); time becomes emergent.
 
-The kernel also subsumes the old ``EventLoop`` timer API
-(:meth:`Kernel.call_at` / :meth:`Kernel.call_after` /
-:meth:`Kernel.call_periodic` / :meth:`Kernel.run_until` /
-:meth:`Kernel.run_all`); ``repro.sim.events.EventLoop`` is now a thin
-compatibility alias over it.
+The kernel is also the one timer API for plain callbacks (TTL sweeps,
+fault schedules, metric flushes): :meth:`Kernel.call_at` /
+:meth:`Kernel.call_after` / :meth:`Kernel.call_periodic`, drained by
+:meth:`Kernel.run_until` / :meth:`Kernel.run_all`.
 
 The kernel requires a :class:`~repro.sim.clock.SimClock` (or a subclass
 exposing ``_now``): the drain loops advance virtual time by writing the
@@ -612,6 +611,7 @@ class Process:
                     kernel.profiler.on_timer_cancel()
             self._cleanup = None
             self._gen.close()
+            kernel.processes_cancelled += 1
             self._complete(None, Cancelled(reason or "cancelled before start"),
                            cancelled=True)
             if kernel._profiling:
@@ -761,7 +761,7 @@ class Kernel:
         # is the moment cached hot-path shortcuts must be revalidated
         self._cached_tracer = _TRACER_UNSET
 
-    # -- timer API (subsumes the old EventLoop) -----------------------------
+    # -- timer API --------------------------------------------------------------
 
     def __len__(self) -> int:
         """Live scheduled entries (cancelled-but-unpopped ones excluded)."""
@@ -943,6 +943,11 @@ class Kernel:
                         clock._now = when
                     target()
                 fired += 1
+        except BaseException:
+            # a process or callback raised out of the entry being fired:
+            # that entry was consumed, so it still counts
+            fired += 1
+            raise
         finally:
             self.events_fired += fired
             self._pending -= fired
@@ -982,9 +987,7 @@ class Kernel:
                                 target()
                             fired += 1
                             if fired >= max_events:
-                                raise KernelError(
-                                    f"kernel did not quiesce after {max_events} events"
-                                )
+                                break
                             continue
                     entry = popleft()
                     proc = entry[1]
@@ -1018,12 +1021,15 @@ class Kernel:
                         target()
                 fired += 1
                 if fired >= max_events:
-                    raise KernelError(
-                        f"kernel did not quiesce after {max_events} events"
-                    )
+                    break
+        except BaseException:
+            fired += 1  # the raising entry was consumed (see run_until)
+            raise
         finally:
             self.events_fired += fired
             self._pending -= fired
+        if fired >= max_events:
+            raise KernelError(f"kernel did not quiesce after {max_events} events")
 
     run = run_all
 
@@ -1036,60 +1042,64 @@ class Kernel:
         ready = self._ready
         profiler = self.profiler
         fired = 0
-        while True:
-            entry = None
-            if ready:
-                if heap:
-                    head = heap[0]
-                    if head[0] <= clock._now and head[1] < ready[0][0]:
-                        entry = _heappop(heap)
-                if entry is None:
-                    seq, proc, value, error = ready.popleft()
-                    if proc._wait_seq != seq:
+        try:
+            while True:
+                entry = None
+                if ready:
+                    if heap:
+                        head = heap[0]
+                        if head[0] <= clock._now and head[1] < ready[0][0]:
+                            entry = _heappop(heap)
+                    if entry is None:
+                        seq, proc, value, error = ready.popleft()
+                        if proc._wait_seq != seq:
+                            profiler.on_event_pop(True)
+                            continue
+                        proc._wait_seq = -1
+                        proc._cleanup = None
+                        self._step(proc, value, error)
+                        self.events_fired += 1
+                        self._pending -= 1
+                        profiler.on_event_pop(False)
+                        fired += 1
+                        if max_events and fired >= max_events:
+                            break
+                        continue
+                else:
+                    if not heap:
+                        break
+                    if deadline is not None and heap[0][0] > deadline:
+                        break
+                    entry = _heappop(heap)
+                when, seq, handle, target = entry
+                if handle is None:
+                    if target._wait_seq != seq:
                         profiler.on_event_pop(True)
                         continue
-                    proc._wait_seq = -1
-                    proc._cleanup = None
-                    self._step(proc, value, error)
-                    self.events_fired += 1
-                    self._pending -= 1
-                    profiler.on_event_pop(False)
-                    fired += 1
-                    if max_events and fired >= max_events:
-                        raise KernelError(
-                            f"kernel did not quiesce after {max_events} events"
-                        )
-                    continue
-            else:
-                if not heap:
-                    break
-                if deadline is not None and heap[0][0] > deadline:
-                    break
-                entry = _heappop(heap)
-            when, seq, handle, target = entry
-            if handle is None:
-                if target._wait_seq != seq:
+                    target._wait_seq = -1
+                    target._cleanup = None
+                    clock.advance_to(when)
+                    self._step(target)
+                elif handle.cancelled:
                     profiler.on_event_pop(True)
                     continue
-                target._wait_seq = -1
-                target._cleanup = None
-                clock.advance_to(when)
-                self._step(target)
-            elif handle.cancelled:
-                profiler.on_event_pop(True)
-                continue
-            else:
-                handle.scheduled = False
-                clock.advance_to(when)
-                target()
+                else:
+                    handle.scheduled = False
+                    clock.advance_to(when)
+                    target()
+                self.events_fired += 1
+                self._pending -= 1
+                profiler.on_event_pop(False)
+                fired += 1
+                if max_events and fired >= max_events:
+                    break
+        except BaseException:
+            # the raising entry was consumed (see run_until)
             self.events_fired += 1
             self._pending -= 1
-            profiler.on_event_pop(False)
-            fired += 1
-            if max_events and fired >= max_events:
-                raise KernelError(
-                    f"kernel did not quiesce after {max_events} events"
-                )
+            raise
+        if max_events and fired >= max_events:
+            raise KernelError(f"kernel did not quiesce after {max_events} events")
 
     # -- factories ----------------------------------------------------------
 

@@ -41,7 +41,7 @@ from repro.obs import (
 )
 from repro.obs.span import Span
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStream
 
 
@@ -110,7 +110,7 @@ def run_demo_scenario(
                 for i in range(3)
             ]
             client = DistributedCacheClient(workers, remote, clock=clock)
-            loop = EventLoop(clock)
+            loop = Kernel(clock)
             ranks = ZipfSampler(n_files, 1.1, root.child("zipf")).sample(
                 n_requests
             )

@@ -3,7 +3,7 @@
 The paper's production clusters serve ~500 K queries/day with pronounced
 diurnal cycles and bursts (dashboards refresh together).  These generators
 produce arrival timestamps for
-:meth:`~repro.presto.coordinator.Coordinator.run_concurrent`:
+:meth:`~repro.presto.coordinator.Coordinator.run_concurrent_kernel`:
 
 - :func:`poisson_arrivals` -- homogeneous Poisson (memoryless baseline),
 - :func:`diurnal_arrivals` -- sinusoidal rate via thinning (day/night),

@@ -9,7 +9,6 @@ from repro.cluster.rebalance import ShardRebalancer
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
 from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel
 from repro.storage.remote import NullDataSource
 from repro.workload.arrivals import poisson_arrivals
 from repro.sim.rng import RngStream
@@ -32,12 +31,10 @@ def build_cluster(n_workers=4, *, offline_timeout=300.0):
         target_split_size=1 * MIB, clock=clock,
         offline_timeout=offline_timeout,
     )
-    kernel = Kernel(clock)
-    cluster.attach_kernel(kernel)
     cluster.membership.track_keys(
         data_file.file_id for __, data_file in table.all_files()
     )
-    return cluster, kernel, clock
+    return cluster, cluster.kernel, clock
 
 
 class TestTransitions:
@@ -147,7 +144,7 @@ class TestKernelRunWithChurn:
             for i, t in enumerate(times)
         ]
         results = cluster.coordinator.run_concurrent_kernel(
-            arrivals, kernel=kernel, worker_concurrency=2,
+            arrivals, worker_concurrency=2,
         )
         assert len(results) == len(arrivals)
         assert all(r.wall_seconds > 0 for r in results)

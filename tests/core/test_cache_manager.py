@@ -15,8 +15,9 @@ from repro.core import (
 )
 from repro.core.admission import BucketTimeRateLimit
 from repro.core.pagestore import FaultPlan, MemoryPageStore, SimulatedSsdPageStore
+from repro.service.sim_transport import KernelScheduler
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import SyntheticDataSource
 
@@ -270,11 +271,13 @@ class TestTtl:
         assert cache.contains(PageId(FILE, 1))
 
     def test_periodic_sweep_on_event_loop(self):
-        loop = EventLoop()
+        loop = Kernel()
         config = CacheConfig.small(PAGE * 8, page_size=PAGE)
         config.default_ttl = 100.0
         config.ttl_check_interval = 60.0
-        cache = LocalCacheManager(config, clock=loop.clock, event_loop=loop)
+        cache = LocalCacheManager(
+            config, clock=loop.clock, event_loop=KernelScheduler(loop)
+        )
         cache.put_page(PageId(FILE, 0), b"x" * 10)
         loop.run_until(90.0)
         assert cache.page_count == 1

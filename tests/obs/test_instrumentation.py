@@ -129,7 +129,7 @@ class TestPrestoQueryTracing:
         tracer = make_tracer(clock)
         arrivals = [(0.0, simple_query("q1")), (0.5, simple_query("q2"))]
         with installed_tracer(tracer):
-            cluster.coordinator.run_concurrent(arrivals)
+            cluster.coordinator.run_concurrent_kernel(arrivals)
         roots = tracer.buffer.roots()
         assert [r.attrs["query_id"] for r in roots] == ["q1", "q2"]
         assert len({r.trace_id for r in roots}) == 2

@@ -1,4 +1,5 @@
-"""Tests for concurrent query execution with cross-query queueing."""
+"""Tests for concurrent query execution on the event kernel: cross-query
+queueing, busy fallback and the serial (one-query-at-a-time) protocol."""
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestConcurrentExecution:
     def test_results_per_query(self):
         cluster = make_cluster()
         arrivals = [(0.0, query("q1")), (0.1, query("q2")), (0.2, query("q3"))]
-        results = cluster.coordinator.run_concurrent(arrivals)
+        results = cluster.coordinator.run_concurrent_kernel(arrivals)
         assert [r.query_id for r in results] == ["q1", "q2", "q3"]
         assert all(r.wall_seconds > 0 for r in results)
         assert cluster.coordinator.aggregator.query_count == 3
@@ -50,11 +51,11 @@ class TestConcurrentExecution:
         """Back-to-back arrivals queue behind each other; widely spaced
         arrivals do not."""
         burst_cluster = make_cluster()
-        burst = burst_cluster.coordinator.run_concurrent(
+        burst = burst_cluster.coordinator.run_concurrent_kernel(
             [(0.0, query(f"q{i}")) for i in range(6)]
         )
         spaced_cluster = make_cluster()
-        spaced = spaced_cluster.coordinator.run_concurrent(
+        spaced = spaced_cluster.coordinator.run_concurrent_kernel(
             [(i * 100.0, query(f"q{i}")) for i in range(6)]
         )
         # first queries match; later burst queries wait behind earlier ones
@@ -62,7 +63,7 @@ class TestConcurrentExecution:
 
     def test_arrival_order_normalized(self):
         cluster = make_cluster()
-        results = cluster.coordinator.run_concurrent(
+        results = cluster.coordinator.run_concurrent_kernel(
             [(5.0, query("late")), (0.0, query("early"))]
         )
         assert [r.query_id for r in results] == ["early", "late"]
@@ -71,34 +72,33 @@ class TestConcurrentExecution:
         """With a tight per-node split budget and a burst, the scheduler's
         fallback ladder must fire (Section 6.1.2's whole point)."""
         cluster = make_cluster(max_splits_per_node=2)
-        results = cluster.coordinator.run_concurrent(
+        results = cluster.coordinator.run_concurrent_kernel(
             [(0.0, query(f"q{i}")) for i in range(8)]
         )
         bypassed = sum(r.stats.cache_bypassed_splits for r in results)
         assert bypassed > 0
 
     def test_idle_cluster_matches_serial_walls(self):
-        """A single query with no contention costs the same as run_query
-        (modulo cache state)."""
-        concurrent_cluster = make_cluster()
+        """On an idle cluster with one executor per worker (run_query's
+        protocol) each worker serves its splits back to back, so the wall
+        is the busiest worker's time plus compute; four executors per
+        worker overlap those splits and finish sooner."""
         serial_cluster = make_cluster()
-        concurrent = concurrent_cluster.coordinator.run_concurrent(
-            [(0.0, query("q1"))]
-        )[0]
         serial = serial_cluster.coordinator.run_query(query("q1"))
-        # concurrent wall serializes a worker's own splits, so it is at
-        # least the serial (max-over-workers) wall and bounded by the sum
-        assert concurrent.wall_seconds >= serial.wall_seconds * 0.99
-        assert concurrent.wall_seconds <= serial.wall_seconds * len(
-            serial_cluster.workers
-        )
+        busiest = max(w.busy_seconds for w in serial_cluster.workers.values())
+        assert serial.wall_seconds == pytest.approx(busiest + 0.1)
+        wide = make_cluster().coordinator.run_concurrent_kernel(
+            [(0.0, query("q1"))], worker_concurrency=4
+        )[0]
+        assert wide.stats.splits == serial.stats.splits
+        assert wide.wall_seconds < serial.wall_seconds
 
     def test_warm_concurrent_burst_is_faster(self):
         cluster = make_cluster()
-        cold = cluster.coordinator.run_concurrent(
+        cold = cluster.coordinator.run_concurrent_kernel(
             [(0.0, query(f"c{i}")) for i in range(4)]
         )
-        warm = cluster.coordinator.run_concurrent(
+        warm = cluster.coordinator.run_concurrent_kernel(
             [(1000.0, query(f"w{i}")) for i in range(4)]
         )
         assert max(r.wall_seconds for r in warm) < max(

@@ -148,15 +148,21 @@ class TestQueryProfileValidation:
 
 class TestSplitFailover:
     def test_offline_worker_splits_reassigned(self):
-        """A worker crashing mid-query drops its splits onto survivors; the
-        query completes with failovers counted, not an error."""
+        """A worker crashing mid-query drops its queued splits onto the
+        survivors; the query completes with failovers counted, not an
+        error."""
         cluster, __, __ = make_cluster(n_workers=4)
-        cluster.workers["worker-1"].fail()
-        result = cluster.coordinator.run_query(simple_query())
-        assert result.stats.splits > 0
-        assert cluster.workers["worker-1"].splits_executed == 0
+        coordinator = cluster.coordinator
+        victim = cluster.workers["worker-0"]  # soft affinity gives it 6 of 8
+        # crash while its first split is in flight: that one finishes, the
+        # five still queued behind it fail over
+        cluster.kernel.call_after(0.05, victim.fail)
+        result = coordinator.run_query(simple_query())
+        assert victim.splits_executed == 1
+        assert coordinator.split_failovers == 5
+        assert coordinator.metrics.counter("failovers").value == 5
         executed = sum(w.splits_executed for w in cluster.workers.values())
-        assert executed >= result.stats.splits
+        assert executed == result.stats.splits == 8
 
     def test_failover_counted_when_worker_dies_between_queries(self):
         cluster, __, __ = make_cluster(n_workers=4)
@@ -180,6 +186,28 @@ class TestSplitFailover:
             worker.fail()
         with pytest.raises(SchedulerError):
             cluster.coordinator.run_query(simple_query())
+
+    def test_failed_run_leaves_kernel_clean(self):
+        """A run that raises cancels its supervisor, queries and executors,
+        so the next run on the same kernel is unaffected."""
+        from repro.errors import SchedulerError
+
+        cluster, __, __ = make_cluster(n_workers=4)
+        kernel = cluster.kernel
+        for worker in cluster.workers.values():
+            worker.fail()
+        with pytest.raises(SchedulerError):
+            cluster.coordinator.run_query(simple_query())
+        assert kernel.processes_spawned == (
+            kernel.processes_completed + kernel.processes_cancelled
+        )
+        assert len(kernel) == 0
+        for worker in cluster.workers.values():
+            worker.recover()
+        again = cluster.coordinator.run_query(simple_query())
+        fresh = make_cluster(n_workers=4)[0].coordinator.run_query(simple_query())
+        assert again.wall_seconds == fresh.wall_seconds
+        assert again.stats == fresh.stats
 
     def test_health_feeds_scheduler_skips(self):
         from repro.resilience import BreakerBoard, NodeHealthTracker

@@ -6,7 +6,7 @@ from repro.errors import RemoteCorruptionError, RemoteReadError
 from repro.presto.hashring import ConsistentHashRing
 from repro.resilience import ChaosInjector, FaultyDataSource, RemoteFaultState
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStream
 from repro.storage.object_store import ObjectStore
 from repro.storage.remote import SyntheticDataSource
@@ -59,7 +59,7 @@ class TestLifecycleFaults:
 
     def test_schedule_crash_window(self):
         clock, chaos = make_injector()
-        loop = EventLoop(clock)
+        loop = Kernel(clock)
         node = FakeNode()
         chaos.register("n1", node)
         chaos.schedule_crash(loop, "n1", at=100.0, duration=50.0)
@@ -72,7 +72,7 @@ class TestLifecycleFaults:
     def test_schedule_crash_rejects_bad_duration(self):
         clock, chaos = make_injector()
         with pytest.raises(ValueError):
-            chaos.schedule_crash(EventLoop(clock), "n1", at=1.0, duration=0.0)
+            chaos.schedule_crash(Kernel(clock), "n1", at=1.0, duration=0.0)
 
     def test_maybe_crash_is_probabilistic_and_seeded(self):
         outcomes = []

@@ -1,175 +1,176 @@
-"""Tests for the event loop."""
+"""Tests for the kernel's timer-callback API: ``call_at`` / ``call_after`` /
+``call_periodic`` drained by ``run_until`` / ``run_all``."""
 
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 
 
 class TestSchedule:
     def test_fires_in_time_order(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
-        loop.schedule(5.0, lambda: fired.append("b"))
-        loop.schedule(1.0, lambda: fired.append("a"))
-        loop.schedule(9.0, lambda: fired.append("c"))
-        loop.run_until(10.0)
+        kernel.call_at(5.0, lambda: fired.append("b"))
+        kernel.call_at(1.0, lambda: fired.append("a"))
+        kernel.call_at(9.0, lambda: fired.append("c"))
+        kernel.run_until(10.0)
         assert fired == ["a", "b", "c"]
 
     def test_same_time_fires_in_schedule_order(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
         for label in "abc":
-            loop.schedule(1.0, lambda label=label: fired.append(label))
-        loop.run_until(1.0)
+            kernel.call_at(1.0, lambda label=label: fired.append(label))
+        kernel.run_until(1.0)
         assert fired == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
-        loop = EventLoop()
+        kernel = Kernel()
         seen = []
-        loop.schedule(3.0, lambda: seen.append(loop.clock.now()))
-        loop.run_until(10.0)
+        kernel.call_at(3.0, lambda: seen.append(kernel.clock.now()))
+        kernel.run_until(10.0)
         assert seen == [3.0]
-        assert loop.clock.now() == 10.0
+        assert kernel.clock.now() == 10.0
 
     def test_past_scheduling_rejected(self):
-        loop = EventLoop(SimClock(start=5.0))
+        kernel = Kernel(SimClock(start=5.0))
         with pytest.raises(ValueError):
-            loop.schedule(1.0, lambda: None)
+            kernel.call_at(1.0, lambda: None)
 
     def test_schedule_after(self):
-        loop = EventLoop(SimClock(start=5.0))
+        kernel = Kernel(SimClock(start=5.0))
         fired = []
-        loop.schedule_after(2.0, lambda: fired.append(loop.clock.now()))
-        loop.run_until(10.0)
+        kernel.call_after(2.0, lambda: fired.append(kernel.clock.now()))
+        kernel.run_until(10.0)
         assert fired == [7.0]
 
     def test_events_beyond_deadline_stay_queued(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
-        loop.schedule(5.0, lambda: fired.append(1))
-        loop.run_until(4.0)
+        kernel.call_at(5.0, lambda: fired.append(1))
+        kernel.run_until(4.0)
         assert fired == []
-        loop.run_until(5.0)
+        kernel.run_until(5.0)
         assert fired == [1]
 
     def test_cancel(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
-        handle = loop.schedule(5.0, lambda: fired.append(1))
+        handle = kernel.call_at(5.0, lambda: fired.append(1))
         handle.cancel()
-        loop.run_until(10.0)
+        kernel.run_until(10.0)
         assert fired == []
 
     def test_len_counts_live_events(self):
-        loop = EventLoop()
-        h1 = loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        assert len(loop) == 2
+        kernel = Kernel()
+        h1 = kernel.call_at(1.0, lambda: None)
+        kernel.call_at(2.0, lambda: None)
+        assert len(kernel) == 2
         h1.cancel()
-        assert len(loop) == 1
+        assert len(kernel) == 1
 
     def test_len_cancel_before_pop_is_live_and_idempotent(self):
         # the live counter drops at cancel time, while the cancelled
         # entries still sit in the heap awaiting their (skipped) pop
-        loop = EventLoop()
-        handles = [loop.schedule(float(i + 1), lambda: None)
+        kernel = Kernel()
+        handles = [kernel.call_at(float(i + 1), lambda: None)
                    for i in range(4)]
-        assert len(loop) == 4
+        assert len(kernel) == 4
         handles[0].cancel()
         handles[2].cancel()
-        assert len(loop) == 2
+        assert len(kernel) == 2
         handles[0].cancel()  # double cancel must not double-decrement
-        assert len(loop) == 2
-        loop.run_until(10.0)
-        assert len(loop) == 0
+        assert len(kernel) == 2
+        kernel.run_until(10.0)
+        assert len(kernel) == 0
 
     def test_len_periodic_rearm_keeps_one_live_entry(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
-        handle = loop.schedule_periodic(
-            1.0, lambda: fired.append(loop.clock.now())
+        handle = kernel.call_periodic(
+            1.0, lambda: fired.append(kernel.clock.now())
         )
-        assert len(loop) == 1
+        assert len(kernel) == 1
         for deadline in (1.0, 2.0, 3.0):
-            loop.run_until(deadline)
-            assert len(loop) == 1  # the re-armed entry is live again
+            kernel.run_until(deadline)
+            assert len(kernel) == 1  # the re-armed entry is live again
         handle.cancel()
-        assert len(loop) == 0
-        loop.run_until(10.0)
+        assert len(kernel) == 0
+        kernel.run_until(10.0)
         assert fired == [1.0, 2.0, 3.0]
 
     def test_len_periodic_cancel_in_own_callback(self):
         # at fire time the popped entry is no longer "scheduled", so a
         # cancel from inside the callback must not double-decrement
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
 
         def cb():
-            fired.append(loop.clock.now())
+            fired.append(kernel.clock.now())
             handle.cancel()
 
-        handle = loop.schedule_periodic(1.0, cb)
-        loop.run_until(5.0)
+        handle = kernel.call_periodic(1.0, cb)
+        kernel.run_until(5.0)
         assert fired == [1.0]
-        assert len(loop) == 0
+        assert len(kernel) == 0
 
 
 class TestPeriodic:
     def test_fires_every_interval(self):
-        loop = EventLoop()
+        kernel = Kernel()
         hits = []
-        loop.schedule_periodic(10.0, lambda: hits.append(loop.clock.now()))
-        loop.run_until(35.0)
+        kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()))
+        kernel.run_until(35.0)
         assert hits == [10.0, 20.0, 30.0]
 
     def test_explicit_start(self):
-        loop = EventLoop()
+        kernel = Kernel()
         hits = []
-        loop.schedule_periodic(10.0, lambda: hits.append(loop.clock.now()), start=5.0)
-        loop.run_until(30.0)
+        kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()), start=5.0)
+        kernel.run_until(30.0)
         assert hits == [5.0, 15.0, 25.0]
 
     def test_cancel_stops_future_firings(self):
-        loop = EventLoop()
+        kernel = Kernel()
         hits = []
-        handle = loop.schedule_periodic(10.0, lambda: hits.append(loop.clock.now()))
-        loop.run_until(25.0)
+        handle = kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()))
+        kernel.run_until(25.0)
         handle.cancel()
-        loop.run_until(100.0)
+        kernel.run_until(100.0)
         assert hits == [10.0, 20.0]
 
     def test_nonpositive_interval_rejected(self):
-        loop = EventLoop()
+        kernel = Kernel()
         with pytest.raises(ValueError):
-            loop.schedule_periodic(0.0, lambda: None)
+            kernel.call_periodic(0.0, lambda: None)
 
     def test_callback_may_cancel_itself(self):
-        loop = EventLoop()
+        kernel = Kernel()
         hits = []
         handle = None
 
         def fire():
-            hits.append(loop.clock.now())
+            hits.append(kernel.clock.now())
             if len(hits) == 2:
                 handle.cancel()
 
-        handle = loop.schedule_periodic(1.0, fire)
-        loop.run_until(10.0)
+        handle = kernel.call_periodic(1.0, fire)
+        kernel.run_until(10.0)
         assert hits == [1.0, 2.0]
 
 
 class TestRunAll:
     def test_drains_heap(self):
-        loop = EventLoop()
+        kernel = Kernel()
         fired = []
-        loop.schedule(1.0, lambda: fired.append(1))
-        loop.schedule(2.0, lambda: fired.append(2))
-        loop.run_all()
+        kernel.call_at(1.0, lambda: fired.append(1))
+        kernel.call_at(2.0, lambda: fired.append(2))
+        kernel.run_all()
         assert fired == [1, 2]
 
     def test_runaway_loop_detected(self):
-        loop = EventLoop()
-        loop.schedule_periodic(1.0, lambda: None)
+        kernel = Kernel()
+        kernel.call_periodic(1.0, lambda: None)
         with pytest.raises(RuntimeError):
-            loop.run_all(max_events=100)
+            kernel.run_all(max_events=100)

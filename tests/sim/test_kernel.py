@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import RemoteReadError
 from repro.obs.attribution import attribute_trace
+from repro.obs.profiler import KernelProfiler
 from repro.obs.tracer import SimTracer, installed_tracer
 from repro.resilience.hedge import HedgePolicy
 from repro.resilience.policy import RetryPolicy
@@ -287,8 +288,47 @@ class TestLenLiveCounter:
         assert len(kernel) == 1
         process.cancel()
         assert len(kernel) == 0
+        assert kernel.processes_cancelled == 1
         kernel.run_all()
         assert kernel.events_fired == 0
+
+    @pytest.mark.parametrize("drain", ["run_all", "run_until", "profiled"])
+    def test_entry_whose_process_raises_is_consumed(self, drain):
+        """A joinless process that raises propagates out of the drain loop
+        (fail fast); the entry that resumed it was consumed all the same,
+        so neither the live count nor the event count may keep it."""
+        kernel, clock = make_kernel()
+        if drain == "profiled":
+            kernel.attach_profiler(KernelProfiler(clock))
+
+        def boom():
+            yield Timeout(1.0)
+            raise RuntimeError("boom")
+
+        def sleeper():
+            yield Timeout(5.0)
+
+        kernel.spawn(boom())
+        kernel.spawn(sleeper())
+        with pytest.raises(RuntimeError):
+            if drain == "run_until":
+                kernel.run_until(10.0)
+            else:
+                kernel.run_all()
+        # fired: both starts and boom's wake-up; live: sleeper's wake-up
+        assert kernel.events_fired == 3
+        assert len(kernel) == 1
+        kernel.run_all()
+        assert len(kernel) == 0
+        assert kernel.processes_completed == kernel.processes_spawned == 2
+
+    def test_event_budget_still_raises(self):
+        kernel, __ = make_kernel()
+        kernel.call_periodic(1.0, lambda: None)
+        with pytest.raises(KernelError):
+            kernel.run_all(max_events=100)
+        assert kernel.events_fired == 100
+        assert len(kernel) == 1
 
 
 class TestDeferredIo:

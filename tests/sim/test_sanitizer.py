@@ -10,7 +10,7 @@ not.
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.events import EventLoop
+from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStream
 from repro.sim.sanitizer import (
     DeterminismHarness,
@@ -28,13 +28,13 @@ def seeded_scenario(trace: EventTrace) -> float:
     """A well-behaved scenario: all time from SimClock, all randomness
     from a named stream seeded inside the run."""
     clock = SimClock()
-    loop = EventLoop(clock)
+    loop = Kernel(clock)
     rng = RngStream(7, "sanitizer-demo")
     total = 0.0
     for index, delay in enumerate(rng.rng.uniform(0.1, 2.0, size=16)):
         def fire(index=index):
             trace.record("fire", clock.now(), f"job-{index}")
-        loop.schedule(clock.now() + float(delay) * (index + 1), fire)
+        loop.call_at(clock.now() + float(delay) * (index + 1), fire)
     loop.run_all()
     trace.record("done", clock.now(), "loop")
     return clock.now()

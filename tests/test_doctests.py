@@ -9,7 +9,7 @@ MODULE_NAMES = [
     "repro.ports.clock",
     "repro.ports.concurrency",
     "repro.ports.rng",
-    "repro.sim.events",
+    "repro.sim.kernel",
     "repro.core.page",
     "repro.core.indexed_set",
     "repro.core.admission.rate_limiter",

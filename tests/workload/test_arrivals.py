@@ -187,6 +187,6 @@ class TestWithConcurrentCoordinator:
                                     compute_seconds=0.1))
             for i, t in enumerate(times)
         ]
-        results = cluster.coordinator.run_concurrent(arrivals)
+        results = cluster.coordinator.run_concurrent_kernel(arrivals)
         assert len(results) == times.size
         assert all(r.wall_seconds > 0 for r in results)
