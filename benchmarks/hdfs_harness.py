@@ -6,9 +6,10 @@ One DataNode serving a Zipfian block-read trace:
   single channel is where blocked processes pile up);
 - the embedded local cache (SSD) admits hot blocks through
   ``BucketTimeRateLimit``;
-- the replay advances the virtual clock to each access's timestamp, so
-  device queueing, rate-limiter windows, and per-minute series are all
-  physically consistent.
+- every access is a process on the node's event kernel, started at its
+  arrival time: reads (and background writes) overlap and queue FIFO at
+  the devices, so device queueing, rate-limiter windows and per-minute
+  series are all physically consistent.
 
 Volumes are scaled far below production (32 KiB blocks instead of 128 MiB)
 so the simulation holds the cached bytes in memory; the *rates* are chosen
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 from repro.core.admission import BucketTimeRateLimit
 from repro.hdfs_cache import CachedDataNode
-from repro.sim.clock import SimClock
-from repro.sim.kernel import Kernel, SimMode, Timeout
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
+from repro.sim.kernel import Timeout
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.hdfs import Block, BlockId, DataNode
 from repro.workload.zipf import ZipfSampler
@@ -34,6 +35,9 @@ MIB = 1024 * KIB
 
 BLOCK_SIZE = 32 * KIB
 N_BLOCKS = 1200
+
+# how far ahead of its arrival the replay spawns an access's process
+SPAWN_AHEAD = 1.0
 
 # A deliberately bandwidth-starved HDD: dense capacity, one actuator.
 HDD = DeviceProfile(
@@ -47,44 +51,15 @@ class DataNodeSetup:
     clock: SimClock
     datanode: DataNode
     cached: CachedDataNode
-    kernel: Kernel | None = None
-
-
-@dataclass(slots=True)
-class ReplayStats:
-    """What one trace replay observed (for mode-equivalence checks)."""
-
-    latencies: list[float]
-    cache_hits: int = 0
-
-    @property
-    def reads(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def mean_latency(self) -> float:
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.cache_hits / self.reads if self.reads else 0.0
 
 
 def build_datanode(
     *, cache_capacity_bytes: int = 8 * MIB,
     admission_threshold: int = 3,
-    seed: int = 2024,
-    mode: SimMode = SimMode.ANALYTIC,
-    profiler_factory=None,
 ) -> DataNodeSetup:
-    """A DataNode pre-loaded with N_BLOCKS finalized blocks.
-
-    With ``mode=SimMode.KERNEL`` the node is bound to an event kernel:
-    replayed reads run as concurrent processes that queue at the HDD/SSD
-    for real, and blocked-process counts come from measured occupancy.
-    ``profiler_factory(clock)`` (kernel mode only) builds a scheduler
-    profiler on the setup's clock and attaches it before any spawn.
-    """
+    """A DataNode pre-loaded with N_BLOCKS finalized blocks, behind a
+    ``CachedDataNode`` whose kernel (``setup.cached.kernel``) the replay
+    runs on."""
     clock = SimClock()
     device = StorageDevice(HDD, clock)
     datanode = DataNode("dn-bench", device=device, clock=clock)
@@ -103,15 +78,7 @@ def build_datanode(
             threshold=admission_threshold, window_buckets=10
         ),
     )
-    kernel = None
-    if mode is SimMode.KERNEL:
-        kernel = Kernel(clock)
-        if profiler_factory is not None:
-            kernel.attach_profiler(profiler_factory(clock))
-        cached.attach_kernel(kernel)
-    return DataNodeSetup(
-        clock=clock, datanode=datanode, cached=cached, kernel=kernel
-    )
+    return DataNodeSetup(clock=clock, datanode=datanode, cached=cached)
 
 
 def replay_trace(
@@ -124,7 +91,7 @@ def replay_trace(
     disable_cache_at: float | None = None,
     writes_per_second: float = 0.0,
     write_size: int = 2 * MIB,
-) -> ReplayStats:
+) -> None:
     """Replay a Zipfian read trace against the cached DataNode.
 
     ``disable_cache_at`` switches the cache off mid-replay (the Figure 14
@@ -134,11 +101,10 @@ def replay_trace(
     residual blocked-process floor even with the cache on.  Timestamps are
     relative to the replay start.
 
-    When the setup was built with ``mode=SimMode.KERNEL`` each access is a
-    kernel process spawned at its arrival time: reads (and background
-    writes) overlap, queue FIFO at the devices, and their latencies are
-    *measured* rather than summed.  The trace itself -- block ids,
-    arrival times, sizes, offsets -- is bit-identical across both modes.
+    A driver process walks the sorted arrivals and spawns one process per
+    access, timed to its arrival, up to ``SPAWN_AHEAD`` seconds early: the
+    driver wakes about once a second instead of once per arrival, and only
+    accesses that have (nearly) arrived hold memory.
     """
     rng = RngStream(seed, "hdfs-trace")
     n_reads = int(duration_seconds * reads_per_second)
@@ -153,89 +119,31 @@ def replay_trace(
         + [(float(t), "w", i) for i, t in enumerate(write_times)]
     )
     start = setup.clock.now()
-    stats = ReplayStats(latencies=[])
-    if setup.kernel is not None:
-        _replay_kernel(
-            setup, events, start, stats,
-            rng=rng, sizes=sizes, blocks=blocks,
-            disable_cache_at=disable_cache_at, write_size=write_size,
-        )
-        return stats
-    disabled = False
-    for t, kind, i in events:
-        setup.clock.advance_to(start + t)
-        if disable_cache_at is not None and not disabled and t >= disable_cache_at:
-            setup.cached.set_enabled(False)
-            disabled = True
-        if kind == "w":
-            setup.datanode.device.write(write_size)
-            continue
-        size = int(min(max(sizes[i], 1024), BLOCK_SIZE))
-        identity = BlockId(int(blocks[i]), 1)
-        offset = 0 if size >= BLOCK_SIZE else int(
-            rng.rng.integers(0, BLOCK_SIZE - size)
-        )
-        result = setup.cached.read_block(identity, offset, size)
-        stats.latencies.append(result.latency)
-        if result.from_cache:
-            stats.cache_hits += 1
-    return stats
+    cached = setup.cached
+    kernel = cached.kernel
+    hdd = setup.datanode.device
 
-
-def _replay_kernel(
-    setup: DataNodeSetup,
-    events: list[tuple[float, str, int]],
-    start: float,
-    stats: ReplayStats,
-    *,
-    rng: RngStream,
-    sizes,
-    blocks,
-    disable_cache_at: float | None,
-    write_size: int,
-) -> None:
-    """Drive the trace through the event kernel.
-
-    A single driver process walks the sorted events, sleeping between
-    arrivals and spawning one process per access -- so only in-flight
-    accesses hold memory, and offset draws happen in the same order as the
-    analytic loop (the traces match exactly).
-    """
-    kernel = setup.kernel
-
-    def read_proc(identity: BlockId, offset: int, size: int):
-        result = yield from setup.cached.read_block_proc(identity, offset, size)
-        stats.latencies.append(result.latency)
-        if result.from_cache:
-            stats.cache_hits += 1
-
-    def write_proc():
-        yield from setup.datanode.device.write_proc(write_size)
+    if disable_cache_at is not None:
+        kernel.call_at(start + disable_cache_at, lambda: cached.set_enabled(False))
 
     def driver():
-        disabled = False
         for t, kind, i in events:
-            target = start + t
+            when = start + t
             now = setup.clock.now()
-            if target > now:
-                yield Timeout(target - now)
-            if (
-                disable_cache_at is not None
-                and not disabled
-                and t >= disable_cache_at
-            ):
-                setup.cached.set_enabled(False)
-                disabled = True
+            if when > now + SPAWN_AHEAD:
+                yield Timeout(when - now)
             if kind == "w":
-                kernel.spawn(write_proc(), name=f"ingest-write/{i}")
+                kernel.spawn_at(when, hdd.write_proc(write_size),
+                                name=f"ingest-write/{i}")
                 continue
             size = int(min(max(sizes[i], 1024), BLOCK_SIZE))
             identity = BlockId(int(blocks[i]), 1)
             offset = 0 if size >= BLOCK_SIZE else int(
                 rng.rng.integers(0, BLOCK_SIZE - size)
             )
-            kernel.spawn(
-                read_proc(identity, offset, size), name=f"block-read/{i}"
+            kernel.spawn_at(
+                when, cached.read_block_proc(identity, offset, size),
+                name=f"block-read/{i}",
             )
 
     kernel.spawn(driver(), name="trace-driver")

@@ -73,7 +73,7 @@ def calibrate_compute_tails(
     benchmark then verifies is the non-trivial part: that the warm cache
     actually eliminates almost all of that I/O time, query by query.
     """
-    from repro.sim.rng import RngStream
+    from repro.ports.rng import RngStream
 
     probe = make_cluster(cache_enabled=False, **cluster_kwargs)
     calibrated: list[QueryProfile] = []

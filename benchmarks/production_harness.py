@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
 

@@ -19,8 +19,8 @@ from repro.core.admission import (
     FilterAdmissionPolicy,
     ShadowCache,
 )
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
 

@@ -11,7 +11,7 @@ import pytest
 from harness import emit_report, pct
 from repro.analysis import Table
 from repro.core import CacheConfig, LocalCacheManager
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
 

@@ -22,7 +22,7 @@ from repro.presto.operators import (
     ScanProfile,
 )
 from repro.presto.split import Split
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
 

@@ -20,7 +20,7 @@ import pytest
 from harness import emit_report
 from repro.analysis import Table, format_bytes
 from repro.core import CacheConfig, LocalCacheManager
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.fragments import FragmentedReadGenerator
 

@@ -13,8 +13,8 @@ from harness import emit_report, pct
 from repro.analysis import Table
 from repro.core import CacheConfig, CacheScope, LocalCacheManager
 from repro.core.admission import BucketTimeRateLimit, FilterAdmissionPolicy
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
 

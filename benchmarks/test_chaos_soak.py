@@ -59,9 +59,9 @@ from repro.resilience import (
     ResilientDataSource,
     RetryPolicy,
 )
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.object_store import ObjectStore
 from repro.storage.remote import ObjectStoreDataSource

@@ -56,9 +56,9 @@ from repro.core.page import installed_time_source
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
 from repro.resilience.health import NodeHealthTracker
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Timeout
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.remote import NullDataSource
 from repro.tools.report import format_membership

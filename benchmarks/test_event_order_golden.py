@@ -44,6 +44,13 @@ miss now pays for its SSD page write, so those walls are pinned again
 under ``cold_cache_on_rerecorded`` (never shorter, same splits and
 affinity).  Re-record with ``... test_event_order_golden.py presto_serial``.
 
+``hdfs_fig14_quick`` pins the Figure 13/14 DataNode replay, cut to ten
+minutes: the per-minute blocked series, the HDD and cache-SSD counters,
+the cache's hit/miss counts and ``traffic_rates(60)``.  It was recorded on
+the analytic channel model the HDFS figures ran on before device queueing
+moved onto the event kernel, and the kernel reproduces every pinned fact.
+Re-record with ``... test_event_order_golden.py hdfs_fig14_quick``.
+
 Run explicitly (benchmarks are not part of tier-1)::
 
     PYTHONPATH=src python -m pytest benchmarks/test_event_order_golden.py -q
@@ -53,6 +60,7 @@ import json
 from pathlib import Path
 
 import pytest
+import hdfs_harness
 import presto_harness
 import test_chaos_soak as chaos_soak
 import test_churn_soak as churn_soak
@@ -65,7 +73,7 @@ from repro.obs.export import tree_signature
 from repro.obs.tracer import SimTracer, current_tracer
 from repro.ports.rng import RngStream
 from repro.presto.coordinator import PrestoCluster
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.sanitizer import DeterminismHarness
 from repro.workload.tpcds import build_tpcds_catalog_fast, tpcds_queries
 
@@ -183,6 +191,52 @@ def run_presto_serial() -> dict:
     return facts
 
 
+# the Figure 14 protocol cut to ten minutes: 80 reads/s, 5 ingest writes/s,
+# the cache switched off at t = 300 s
+HDFS_FIG14_QUICK = {
+    "duration_seconds": 600.0, "reads_per_second": 80.0, "zipf_s": 1.15,
+    "disable_cache_at": 300.0, "writes_per_second": 5.0,
+}
+HDD_FIELDS = (
+    "reads", "writes", "bytes_read", "blocked_requests", "total_wait", "busy_time",
+)
+SSD_FIELDS = ("reads", "writes", "bytes_read", "bytes_written")
+
+
+def run_hdfs_fig14_quick(protocol: dict) -> dict:
+    """One ``hdfs_harness`` replay under ``protocol``; returns what Figures
+    13 and 14 report.
+
+    Pins the per-minute blocked-process series, the HDD's counters (as
+    ``repr`` strings, so the float sums are bit-exact), the cache SSD's
+    counters, the cache's ``get_hits``/``get_misses`` and both
+    ``traffic_rates(60)`` series.  Per-read latencies are deliberately not
+    pinned: between the analytic model this was recorded on and the event
+    kernel they legitimately differ, by up to 0.11 ms and in completion
+    order, and no figure reports them.
+    """
+    setup = hdfs_harness.build_datanode(
+        cache_capacity_bytes=12 * MIB, admission_threshold=3
+    )
+    hdfs_harness.replay_trace(setup, **protocol)
+    hdd = setup.datanode.device
+    ssd = setup.cached.ssd.stats
+    counters = setup.cached.metrics.counters()
+    return {
+        "blocked_per_minute": sorted(
+            [minute, count]
+            for minute, count in hdd.blocked_per_bucket(60.0).items()
+        ),
+        "hdd": {name: repr(getattr(hdd.stats, name)) for name in HDD_FIELDS},
+        "ssd": {name: getattr(ssd, name) for name in SSD_FIELDS},
+        "cache": {name: counters[name] for name in ("get_hits", "get_misses")},
+        "traffic_rates": [
+            sorted([bucket, nbytes] for bucket, nbytes in series.items())
+            for series in setup.cached.traffic_rates(60.0)
+        ],
+    }
+
+
 def _presto_tracer() -> SimTracer:
     return SimTracer(
         SimClock(), RngStream(PRESTO_SEED, "golden/presto_tpcds_kernel/trace"),
@@ -295,6 +349,13 @@ class TestGoldenEventOrder:
                     assert now[0] == then[0] and now[3:] == then[3:]
                     assert now[1] >= then[1] and now[2] >= then[2]
 
+    def test_hdfs_fig14_quick_matches_pinned_facts(self):
+        spec = GOLDEN["scenarios"]["hdfs_fig14_quick"]
+        facts = run_hdfs_fig14_quick(spec["protocol"])
+        for key, pinned in spec["facts"].items():
+            assert facts[key] == pinned, f"hdfs_fig14_quick: {key} moved"
+        assert facts.keys() == spec["facts"].keys()
+
 
 if __name__ == "__main__":
     import sys
@@ -307,6 +368,12 @@ if __name__ == "__main__":
             spec = GOLDEN["scenarios"][name]
             spec["facts"] = facts
             spec["cold_cache_on_rerecorded"]["rows"] = facts["cache_on"][0]["rows"]
+            continue
+        if name == "hdfs_fig14_quick":
+            GOLDEN["scenarios"][name] = {
+                "protocol": HDFS_FIG14_QUICK,
+                "facts": run_hdfs_fig14_quick(HDFS_FIG14_QUICK),
+            }
             continue
         report = presto_report(traced=name.endswith("_traced"))
         GOLDEN["scenarios"][name] = {

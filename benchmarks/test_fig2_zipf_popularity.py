@@ -12,7 +12,7 @@ import pytest
 
 from harness import emit_report
 from repro.analysis import Table
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.zipf import ZipfSampler, fit_zipf_exponent
 
 PAPER_FACTOR = 1.39

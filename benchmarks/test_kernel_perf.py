@@ -45,9 +45,9 @@ from repro.core.metrics import MetricsRegistry
 from repro.obs.profiler import NOOP_PROFILER, KernelProfiler
 from repro.obs.sampler import TelemetrySampler, format_telemetry
 from repro.sim import hostclock
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, Timeout
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 
 QUICK = bool(os.environ.get("KERNEL_PERF_QUICK"))

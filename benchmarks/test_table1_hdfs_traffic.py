@@ -15,7 +15,7 @@ import pytest
 
 from harness import emit_report, pct
 from repro.analysis import Table
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.traces import TraceGenerator, stats_of, table1_hosts
 
 PAPER_RATIOS = {"host1": 4091.0, "host2": 2723.4, "host3": 1847.8, "host4": 317.8}

@@ -22,9 +22,9 @@ import hashlib
 from harness import emit_json
 
 from repro.sim import hostclock
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 SEED = 20240809
 BATCH = 50_000

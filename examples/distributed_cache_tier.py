@@ -11,7 +11,7 @@ Run:  python examples/distributed_cache_tier.py
 """
 
 from repro.distributed import CacheWorker, DistributedCacheClient
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage import ObjectStore, ObjectStoreDataSource
 
 KIB = 1024

@@ -15,7 +15,7 @@ Run:  python examples/hdfs_datanode_cache.py
 
 from repro.core.admission import BucketTimeRateLimit
 from repro.hdfs_cache import CachedDataNode
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
 
 KIB = 1024
@@ -83,11 +83,16 @@ def main() -> None:
     burst_block = status.blocks[0]
     for enabled in (True, False):
         cached.set_enabled(enabled)
-        clock.advance(3600.0)  # drain the device between phases
+        clock.advance(3600.0)  # a quiet hour between phases
         datanode.device.reset_stats()
-        for __ in range(200):
-            cached.read_block(burst_block, 0, 48 * KIB)
-            clock.advance(0.002)  # a 500 req/s burst
+        # a 500 req/s burst: each read is a process on the node's kernel,
+        # so reads that find the HDD busy queue behind it
+        for index in range(200):
+            cached.kernel.spawn_at(
+                clock.now() + 0.002 * index,
+                cached.read_block_proc(burst_block, 0, 48 * KIB),
+            )
+        cached.kernel.run()
         label = "cache on " if enabled else "cache off"
         print(f"  {label}: blocked={datanode.device.stats.blocked_requests:4d} "
               f"of 200 requests")

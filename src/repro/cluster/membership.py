@@ -28,7 +28,7 @@ import enum
 
 from repro.core.metrics import MetricsRegistry
 from repro.presto.hashring import ConsistentHashRing
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 
 
 class NodeState(enum.Enum):

@@ -118,7 +118,7 @@ class Histogram(_ExemplarRing):
 
     Up to ``reservoir_cap`` observations are kept exactly; past the cap the
     histogram switches to a uniform reservoir seeded from a
-    :class:`~repro.sim.rng.RngStream`, so memory stays bounded on
+    :class:`~repro.ports.rng.RngStream`, so memory stays bounded on
     arbitrarily long runs while every observation retains an equal chance
     of representation.  The reservoir counts skips (Li's Algorithm L): it
     draws random numbers per *kept* observation -- ``cap * ln(count / cap)``

@@ -12,8 +12,8 @@ of Section 8 are injectable:
 - **read hang** -- a read takes pathologically long (the paper saw up to 10
   minutes); if the modelled latency exceeds the caller's timeout budget the
   store raises :class:`~repro.errors.CacheReadTimeoutError` so the cache
-  manager can fall back to remote storage.  Under the kernel engine the
-  owning process then waits out only its timeout budget, not the hang.
+  manager can fall back to remote storage.  On the event kernel the owning
+  process then waits out only its timeout budget, not the hang.
 - **corruption** -- a page's payload is flagged corrupt; reads raise
   :class:`~repro.errors.PageCorruptedError`.
 - **ENOSPC** -- the device reports full below the configured cache
@@ -94,9 +94,6 @@ class SimulatedSsdPageStore:
         self._device = device
         self.faults = faults if faults is not None else FaultPlan()
         self.last_op_latency = 0.0
-        # queueing share of last_op_latency (device channel wait), exposed
-        # so tracing can split a hit's cost into cache_ssd vs. queueing
-        self.last_op_wait = 0.0
 
     @property
     def device(self) -> StorageDevice:
@@ -117,7 +114,6 @@ class SimulatedSsdPageStore:
                 f"injected write failure on {page_id} (dir={directory})"
             )
         self.last_op_latency = self._device.write(len(data))
-        self.last_op_wait = self._device.last_wait
         self._backing.put(page_id, data, directory)
 
     def get(
@@ -137,9 +133,7 @@ class SimulatedSsdPageStore:
             )
         if faults.hang_reads_seconds is not None:
             return self._hung_get(page_id, data, faults.hang_reads_seconds, timeout)
-        device = self._device
-        latency = device.read(len(data))
-        self.last_op_wait = device.last_wait
+        latency = self._device.read(len(data))
         self.last_op_latency = latency
         if timeout is not None and latency > timeout:
             raise _timeout_error(page_id, latency, timeout)
@@ -151,12 +145,11 @@ class SimulatedSsdPageStore:
         """A read that stalls ``hang`` seconds on top of the device time."""
         device = self._device
         if io_collection_active() and device.kernel_attached:
-            # kernel engine: the device time is lived at replay and reported
+            # kernel process: the device time is lived at replay and reported
             # here as 0, so the read times out iff the hang alone exceeds
             # the budget.  Then the owning process waits out the budget and
             # falls back; the transfer and the hang it gave up on are never
             # replayed.
-            self.last_op_wait = 0.0
             self.last_op_latency = hang
             if timeout is not None and hang > timeout:
                 defer_io(partial(_stall, timeout))
@@ -164,10 +157,9 @@ class SimulatedSsdPageStore:
             device.read(len(data))
             defer_io(partial(_stall, hang))
             return data
-        # analytic engine: the caller is charged nothing for a timed-out
-        # wait (a known divergence from the kernel engine above)
+        # outside a kernel process: the caller is charged nothing for a
+        # timed-out wait (a known divergence from the kernel path above)
         latency = device.read(len(data)) + hang
-        self.last_op_wait = device.last_wait
         self.last_op_latency = latency
         if timeout is not None and latency > timeout:
             raise _timeout_error(page_id, latency, timeout)

@@ -3,8 +3,8 @@
 Every number this reproduction reports (hit ratios, blocked-process
 counts, chaos-soak recovery curves) is only meaningful because the
 simulation is bit-for-bit deterministic.  That property is enforced by
-convention -- :class:`~repro.sim.clock.SimClock`,
-:class:`~repro.sim.rng.RngStream`, the injectable page time source -- and
+convention -- :class:`~repro.ports.clock.SimClock`,
+:class:`~repro.ports.rng.RngStream`, the injectable page time source -- and
 conventions rot.  This package is the tooling that keeps them honest:
 
 - :mod:`repro.devtools.rules` -- the pattern rule set (``DET*``

@@ -6,8 +6,8 @@ Finding` objects; a rule that needs whole-repo state (``MET001``) collects
 during :meth:`Rule.check` and reports from :meth:`Rule.finish`.
 
 The determinism rules encode the invariant the whole benchmark suite rests
-on: virtual time comes from :class:`~repro.sim.clock.SimClock`, randomness
-comes from :class:`~repro.sim.rng.RngStream`, and nothing in the simulation
+on: virtual time comes from :class:`~repro.ports.clock.SimClock`, randomness
+comes from :class:`~repro.ports.rng.RngStream`, and nothing in the simulation
 observes real time, real I/O latency, or interpreter hash ordering.
 """
 
@@ -93,7 +93,7 @@ class NoWallClockRule(Rule):
 
     Wall-clock reads (``time.time``/``time.monotonic``/``datetime.now``)
     make two runs of the same seed diverge; every timestamp must come from
-    a :class:`~repro.sim.clock.SimClock` or an injected time source.  The
+    a :class:`~repro.ports.clock.SimClock` or an injected time source.  The
     only sanctioned homes of real time are the ``WallClock`` implementation
     itself, the documented ``core/page.py`` time-source shim, and the
     ``sim/hostclock.py`` host-clock API the kernel profiler measures
@@ -151,7 +151,7 @@ class SeededRngRule(Rule):
     The stdlib ``random`` module and numpy's global/unseeded generators
     are process-global state: any new draw anywhere perturbs every
     consumer, and the seed is invisible to the scenario.  Only
-    :class:`~repro.sim.rng.RngStream` may construct generators.
+    :class:`~repro.ports.rng.RngStream` may construct generators.
     """
 
     rule_id = "DET002"
@@ -166,7 +166,7 @@ class SeededRngRule(Rule):
                         yield self.finding(
                             path, node,
                             "stdlib `random` module imported",
-                            "draw from an RngStream (repro.sim.rng) derived "
+                            "draw from an RngStream (repro.ports.rng) derived "
                             "from the scenario seed",
                             lines,
                         )
@@ -175,7 +175,7 @@ class SeededRngRule(Rule):
                     yield self.finding(
                         path, node,
                         "stdlib `random` module imported",
-                        "draw from an RngStream (repro.sim.rng) derived "
+                        "draw from an RngStream (repro.ports.rng) derived "
                         "from the scenario seed",
                         lines,
                     )

@@ -34,7 +34,7 @@ from repro.obs.tracer import current_tracer
 from repro.presto.hashring import ConsistentHashRing
 from repro.resilience.health import NodeHealthTracker
 from repro.resilience.hedge import HedgePolicy
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.storage.remote import DataSource
 
 

@@ -8,7 +8,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.core.scope import CacheScope
 from repro.obs.tracer import current_tracer
 from repro.service.sim_transport import build_sim_cache
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import DataSource
 
@@ -47,7 +47,7 @@ class CacheWorker:
             config,
             clock=self.clock,
             device=StorageDevice(DeviceProfile.ssd_local(), self.clock,
-                                 keep_records=False, queueing=False),
+                                 keep_records=False),
             metrics=self.metrics,
         )
         self.requests_served = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fuse.filesystem import CachedFileSystem
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,6 +12,11 @@ Read workflow for a block request:
 3. Anything else takes the non-cache read path straight to the HDD, whose
    single channel is where blocked processes pile up.
 
+Every read is a process on the node's event kernel (:attr:`CachedDataNode.
+kernel`), so it queues at the HDD and SSD for real; :meth:`CachedDataNode.
+read_block` runs one such process to completion for a caller that reads
+one block at a time.
+
 Snapshot isolation across appends comes from the cache key
 ``blk_<id>@gs<stamp>``: an in-flight append creates a *new* generation, so
 readers of the old stamp keep hitting the old cache entry, and the new
@@ -29,14 +34,8 @@ from repro.errors import BlockNotFoundError
 from repro.hdfs_cache.block_mapping import BlockMapping
 from repro.obs.tracer import current_tracer
 from repro.service.sim_transport import build_sim_cache
-from repro.sim.clock import Clock
-from repro.sim.kernel import (
-    collecting_io,
-    current_kernel,
-    defer_io,
-    io_collection_active,
-    replay_plan,
-)
+from repro.ports.clock import SimClock
+from repro.sim.kernel import Kernel, collecting_io, defer_io, replay_plan
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.hdfs.block import BlockId
 from repro.storage.hdfs.datanode import DataNode
@@ -67,8 +66,6 @@ class _DataNodeSource:
 
     def __init__(self, owner: "CachedDataNode") -> None:
         self._owner = owner
-        # HDD queue wait of the last read, forwarded for latency attribution
-        self.last_queue_wait = 0.0
 
     def file_length(self, file_id: str) -> int:
         identity = self._owner._identity_of(file_id)
@@ -78,9 +75,7 @@ class _DataNodeSource:
 
     def read(self, file_id: str, offset: int, length: int) -> ReadResult:
         identity = self._owner._identity_of(file_id)
-        result = self._owner._read_block_and_meta(identity, offset, length)
-        self.last_queue_wait = self._owner.datanode.device.last_wait
-        return result
+        return self._owner._read_block_and_meta(identity, offset, length)
 
 
 class CachedDataNode:
@@ -90,7 +85,7 @@ class CachedDataNode:
         self,
         datanode: DataNode,
         *,
-        clock: Clock,
+        clock: SimClock,
         cache_capacity_bytes: int = 2 * GIB,
         page_size: int = 1024 * 1024,
         rate_limiter: BucketTimeRateLimit | None = None,
@@ -127,14 +122,18 @@ class CachedDataNode:
         self._identities: dict[str, BlockId] = {}
         self.enabled = True
         self.traffic: list[TrafficSample] = []
+        self.kernel = Kernel(clock)
+        self.attach_kernel(self.kernel)
 
-    def attach_kernel(self, kernel) -> "CachedDataNode":
-        """Bind both devices (HDD, cache SSD) to an event kernel.
+    def attach_kernel(self, kernel: Kernel) -> "CachedDataNode":
+        """Bind both devices (HDD, cache SSD) to ``kernel`` and make it the
+        one reads run on (:attr:`kernel`).
 
-        Kernel-mode reads (:meth:`read_block_proc`) then block in real
-        device FIFOs; the HDD exports live ``device_queue_depth`` /
-        ``blocked_processes`` gauges through this node's registry.
+        Reads then block in the devices' FIFOs; the HDD exports live
+        ``device_queue_depth`` / ``blocked_processes`` gauges through this
+        node's registry.
         """
+        self.kernel = kernel
         self.datanode.device.attach_kernel(kernel)
         self.datanode.device.metrics = self.metrics
         self.ssd.attach_kernel(kernel)
@@ -182,28 +181,25 @@ class CachedDataNode:
     def read_block(
         self, identity: BlockId, offset: int = 0, length: int | None = None
     ) -> CachedReadResult:
-        """Read a block range through the Figure-11 workflow."""
-        tracer = current_tracer()
-        with tracer.span(
-            "block_read", actor=self.datanode.name, block=str(identity)
-        ) as span:
-            result = self._read_block(identity, offset, length, span)
-            span.annotate("latency", result.latency)
-            span.annotate("from_cache", result.from_cache)
-            return result
+        """Read a block range now: one :meth:`read_block_proc` process on
+        :attr:`kernel`, drained, so the clock moves past the read (and any
+        cache load it started)."""
+        process = self.kernel.spawn(self.read_block_proc(identity, offset, length))
+        self.kernel.run()
+        return process.value
 
     def read_block_proc(
         self, identity: BlockId, offset: int = 0, length: int | None = None
     ):
-        """Kernel-mode block read: decisions at the arrival instant, waits
-        experienced.
+        """Read a block range through the Figure-11 workflow as a kernel
+        process: decisions at the arrival instant, waits experienced.
 
-        The Figure-11 workflow (mapping lookup, admission, eviction) runs
-        synchronously exactly as in :meth:`read_block`, under deferred-I/O
-        collection; the calling process then replays the collected device
-        transfers, genuinely blocking in the HDD/SSD FIFO queues, and the
-        result's latency is *measured* from the virtual clock.  Replay the
-        generator with ``yield from`` inside a kernel process.
+        The workflow (mapping lookup, admission, eviction) runs at the
+        arrival instant under deferred-I/O collection; the process then
+        replays the collected device transfers, blocking in the HDD/SSD
+        FIFO queues, and the result's latency is *measured* from the
+        virtual clock.  Replay the generator with ``yield from`` inside a
+        process on :attr:`kernel`.
         """
         tracer = current_tracer()
         with tracer.span(
@@ -292,30 +288,27 @@ class CachedDataNode:
             "cache_load", actor=self.datanode.name, off_path=True
         ):
             total = self._source.file_length(key)
-            if io_collection_active():
-                # kernel mode: the load's device transfers must not extend
-                # the triggering read (it is served from the warmed cache),
-                # but they *do* compete for the HDD/SSD -- collect them in
-                # a sub-plan and replay it in a background process.
-                subplan: list = []
-                with collecting_io(subplan):
-                    self.cache.read(key, 0, total, self._source)
-
-                def _spawn_load(subplan: list = subplan) -> float:
-                    def load_proc():
-                        with current_tracer().span(
-                            "cache_load_io", actor=self.datanode.name, off_path=True
-                        ):
-                            yield from replay_plan(subplan)
-
-                    current_kernel().spawn(
-                        load_proc(), name=f"cache-load/{self.datanode.name}"
-                    )
-                    return 0.0
-
-                defer_io(_spawn_load)
-            else:
+            # the load's device transfers must not extend the triggering
+            # read (it is served from the warmed cache), but they *do*
+            # compete for the HDD/SSD -- collect them in a sub-plan and
+            # replay it in a background process
+            subplan: list = []
+            with collecting_io(subplan):
                 self.cache.read(key, 0, total, self._source)
+
+            def _spawn_load(subplan: list = subplan) -> float:
+                def load_proc():
+                    with current_tracer().span(
+                        "cache_load_io", actor=self.datanode.name, off_path=True
+                    ):
+                        yield from replay_plan(subplan)
+
+                self.kernel.spawn(
+                    load_proc(), name=f"cache-load/{self.datanode.name}"
+                )
+                return 0.0
+
+            defer_io(_spawn_load)
         self.mapping.record(identity.block_id, key, total)
 
     # -- mutations the cache must track ----------------------------------------------

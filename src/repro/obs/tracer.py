@@ -9,7 +9,7 @@ Two implementations share the duck-typed surface instrumented code uses
   results are bit-identical to an uninstrumented build.
 - :class:`SimTracer`: virtual-clock-native tracing.  Timestamps come from
   the clock passed in (normally the scenario's ``SimClock``), span ids come
-  from a dedicated :class:`~repro.sim.rng.RngStream` child so traced runs
+  from a dedicated :class:`~repro.ports.rng.RngStream` child so traced runs
   are reproducible, and finished spans land in a bounded
   :class:`~repro.obs.buffer.SpanBuffer`.
 

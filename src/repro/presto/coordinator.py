@@ -33,9 +33,9 @@ from repro.presto.scheduler import RandomScheduler, SoftAffinityScheduler
 from repro.presto.split import Split, splits_for_file
 from repro.presto.worker import Worker
 from repro.resilience.health import NodeHealthTracker
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, Timeout, all_of
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.presto.query import QueryProfile
 from repro.storage.remote import DataSource
 

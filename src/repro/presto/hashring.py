@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import zlib
 
-from repro.sim.clock import Clock
+from repro.ports.clock import Clock
 
 
 def _hash(value: str) -> int:

@@ -26,7 +26,7 @@ from repro.obs.tracer import current_tracer
 from repro.presto.hashring import ConsistentHashRing
 from repro.presto.split import Split
 from repro.resilience.health import NodeHealthTracker
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ from repro.obs.tracer import current_tracer
 from repro.presto.split import Split
 from repro.presto.runtime_stats import QueryRuntimeStats
 from repro.service.sim_transport import build_sim_cache
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.sim.kernel import Timeout, collecting_io, replay_plan
 from repro.storage.remote import DataSource
 
@@ -52,7 +52,7 @@ class Worker:
                 from repro.storage.device import DeviceProfile, StorageDevice
 
                 device = StorageDevice(DeviceProfile.ssd_local(), self.clock,
-                                       keep_records=False, queueing=False,
+                                       keep_records=False,
                                        service_bucket="cache_ssd",
                                        metrics=self.metrics)
             self.cache = build_sim_cache(

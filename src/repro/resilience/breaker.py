@@ -20,7 +20,7 @@ import enum
 from collections import deque
 
 from repro.core.metrics import MetricsRegistry
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 
 
 class BreakerState(str, enum.Enum):

@@ -14,7 +14,7 @@ from collections import defaultdict
 
 from repro.core.metrics import MetricsRegistry
 from repro.resilience.breaker import BreakerBoard, CircuitBreaker
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 
 
 class NodeHealthTracker:

@@ -14,7 +14,7 @@ actor in the cluster:
 - **partition** a node from a consistent-hash ring (reachable storage,
   unreachable peer).
 
-All randomness comes from a named :class:`~repro.sim.rng.RngStream` and
+All randomness comes from a named :class:`~repro.ports.rng.RngStream` and
 every injected fault is appended to :attr:`ChaosInjector.events`, so a
 chaos scenario is reproducible bit-for-bit and its event sequence can be
 compared across runs.
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from repro.core.metrics import MetricsRegistry
 from repro.errors import RemoteCorruptionError, RemoteReadError
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import DataSource, ReadResult
 
 

@@ -2,7 +2,7 @@
 
 Backoff delays are computed, never slept -- simulations charge them as
 latency on the virtual clock.  Jitter draws from a named
-:class:`~repro.sim.rng.RngStream`, so retry schedules are reproducible
+:class:`~repro.ports.rng.RngStream`, so retry schedules are reproducible
 bit-for-bit from the root seed (the same property every other stochastic
 component of the repo has).
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 @dataclass(frozen=True, slots=True)

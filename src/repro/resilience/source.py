@@ -37,7 +37,7 @@ from repro.sim.kernel import (
     io_collection_active,
     replay_plan,
 )
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import DataSource, ReadResult
 
 _RETRYABLE = (RemoteReadError, ConnectionError)

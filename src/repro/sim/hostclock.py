@@ -1,7 +1,7 @@
 """The sanctioned host-clock API (profiling only).
 
 Everything simulated reads virtual time from a
-:class:`~repro.sim.clock.SimClock`; the replint DET001 rule and the
+:class:`~repro.ports.clock.SimClock`; the replint DET001 rule and the
 benchmark conftest guard exist to keep it that way.  But *profiling the
 simulator itself* -- how many host-CPU microseconds one process resume
 costs, how many events the scheduler drains per wall second -- is a

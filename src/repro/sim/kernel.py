@@ -1,12 +1,11 @@
-"""A process-based discrete-event kernel over :class:`~repro.sim.clock.SimClock`.
+"""A process-based discrete-event kernel over :class:`~repro.ports.clock.SimClock`.
 
-The analytic simulator computes queueing delay from closed-form channel
-state: ``StorageDevice`` returns ``wait + service`` as a number and the
-caller decides what to do with it.  That reproduces steady-state figures
-but cannot express the phenomena the paper's robustness story hinges on --
-processes *blocking* on a saturated device (Fig 14), a hedged read whose
-loser is cancelled mid-flight, a worker pool draining a split queue.  This
-module supplies the missing substrate:
+The kernel is the one place simulated work *queues*.  The phenomena the
+paper's figures and robustness story hinge on -- processes blocking on a
+saturated device (Fig 14), a hedged read whose loser is cancelled
+mid-flight, a worker pool draining a split queue -- are lived by kernel
+processes; outside a process, device and source models return their
+service time and record no wait.  The substrate:
 
 - **Processes** are generator coroutines driven by the kernel.  A process
   yields *waitables* (a :class:`Timeout`, an :class:`Event`, a
@@ -39,43 +38,31 @@ module supplies the missing substrate:
   :func:`collecting_io`, device/remote models append replayable operation
   generators to a plan and return ~0 latency; the owning process then
   replays the plan with :func:`replay_plan`, *experiencing* queue waits
-  at kernel resources.  Decisions happen at the arrival instant exactly
-  as in analytic mode (so hit ratios agree); time becomes emergent.
+  at kernel resources.  Decisions happen at the arrival instant; time
+  becomes emergent.
 
 The kernel is also the one timer API for plain callbacks (TTL sweeps,
 fault schedules, metric flushes): :meth:`Kernel.call_at` /
 :meth:`Kernel.call_after` / :meth:`Kernel.call_periodic`, drained by
 :meth:`Kernel.run_until` / :meth:`Kernel.run_all`.
 
-The kernel requires a :class:`~repro.sim.clock.SimClock` (or a subclass
+The kernel requires a :class:`~repro.ports.clock.SimClock` (or a subclass
 exposing ``_now``): the drain loops advance virtual time by writing the
 slot directly rather than calling ``advance_to`` per event.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 from collections import deque
 from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable
 
 from repro.obs import tracer as _tracer_slot
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-class SimMode(enum.Enum):
-    """Which simulation engine a harness drives.
-
-    ANALYTIC: closed-form queueing (cheap, serial, no cancellation).
-    KERNEL: process-based discrete events (concurrency is real).
-    """
-
-    ANALYTIC = "analytic"
-    KERNEL = "kernel"
 
 
 class Cancelled(Exception):

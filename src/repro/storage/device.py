@@ -4,32 +4,31 @@ The paper's HDFS figures hinge on one physical fact: high-density HDDs gain
 capacity much faster than bandwidth, so read bursts queue at the device and
 processes block on I/O (Section 2.2; Figure 14 counts up to ~5000 blocked
 processes per minute).  We model a device as ``channels`` parallel servers
-(an HDD has 1, an SSD has many); each request occupies the earliest-free
-channel for ``seek + size / bandwidth`` seconds.  A request that arrives
-while all channels are busy *waits* -- that wait is exactly the paper's
-"blocked process" signal, which :class:`StorageDevice` records per request
-so benchmarks can bucket it per minute.
+(an HDD has 1, an SSD has many); each request occupies a channel for
+``seek + size / bandwidth`` seconds.  A request that arrives while all
+channels are busy *waits* -- that wait is exactly the paper's "blocked
+process" signal, which :class:`StorageDevice` records per request so
+benchmarks can bucket it per minute.
 
-The model has two engines.  The *analytic* engine (the default) needs no
-coroutines: given the arrival time from the simulation clock, completion
-time follows from channel state.  Attaching a device to a
-:class:`~repro.sim.kernel.Kernel` (:meth:`StorageDevice.attach_kernel`)
-switches reads and writes issued under deferred-I/O collection to the
-*kernel* engine: the device becomes a FIFO :class:`~repro.sim.kernel.
-Resource` of ``channels`` slots, requesting processes genuinely block in
-its queue, waits are measured from live occupancy, and a cancelled
-request accounts the bytes its partial transfer wasted.
+Queueing is lived on the event kernel and nowhere else.  A device bound to
+a :class:`~repro.sim.kernel.Kernel` (:meth:`StorageDevice.attach_kernel`)
+is a FIFO :class:`~repro.sim.kernel.Resource` of ``channels`` slots: a
+read or write issued by a kernel process (:meth:`StorageDevice.read_proc`,
+or any read under deferred-I/O collection) genuinely blocks in its queue,
+waits are measured from live occupancy, and a cancelled request accounts
+the bytes its partial transfer wasted.  Outside a kernel process a read or
+write returns its service time and records no wait -- the contract every
+other simulated source already follows.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.obs.tracer import current_tracer
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.sim.kernel import IO_PLANS, Cancelled, Timeout, charge_wasted_bytes
 
 if TYPE_CHECKING:
@@ -129,20 +128,21 @@ class DeviceStats:
     blocked_requests: int = 0
     total_wait: float = 0.0
     busy_time: float = 0.0
-    # kernel mode only: requests abandoned mid-flight (hedge losers,
-    # chaos aborts) and the bytes their partial transfers had moved
+    # requests a kernel process abandoned mid-flight (hedge losers, chaos
+    # aborts) and the bytes their partial transfers had moved
     cancelled_requests: int = 0
     cancelled_bytes: int = 0
     records: list[RequestRecord] = field(default_factory=list)
 
 
 class StorageDevice:
-    """An analytic queueing model of one device on a simulation clock.
+    """One device on a simulation clock.
 
-    ``read``/``write`` return the request's total latency (wait + service);
-    the caller decides whether to advance the clock by it (synchronous
-    callers do; pipelined callers issue several requests at one arrival
-    time and take the max).
+    ``read``/``write`` count the request and return its service time; under
+    deferred-I/O collection on an attached kernel they instead queue the
+    transfer for the owning process to live (and return 0).  Waits, blocked
+    counts and :class:`RequestRecord` entries come only from transfers a
+    kernel process lives through.
     """
 
     def __init__(
@@ -151,7 +151,6 @@ class StorageDevice:
         clock: Clock | None = None,
         *,
         keep_records: bool = True,
-        queueing: bool = True,
         service_bucket: str = "remote",
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -159,29 +158,21 @@ class StorageDevice:
         self.clock = clock if clock is not None else SimClock()
         self.stats = DeviceStats()
         self._keep_records = keep_records
-        self._queueing = queueing
         # attribution bucket replayed service time is charged to ("remote"
         # for a DataNode's HDD, "cache_ssd" for a cache's SSD)
         self.service_bucket = service_bucket
         # optional registry for the live device_queue_depth /
-        # blocked_processes gauges (kernel mode); see `metrics`
+        # blocked_processes gauges; see `metrics`
         self.metrics = metrics
-        # queue wait of the most recent request, for latency attribution
-        # (tracing splits a device latency into queueing vs. service time)
-        self.last_wait = 0.0
-        # min-heap of per-channel next-free timestamps
-        self._channel_free: list[float] = [0.0] * profile.channels
-        # kernel engine (attach_kernel): a FIFO resource of `channels` slots
-        self._kernel: "Kernel | None" = None
+        # attach_kernel: a FIFO resource of `channels` slots
         self._resource: "Resource | None" = None
 
     def attach_kernel(self, kernel: "Kernel") -> "StorageDevice":
-        """Bind the device to an event kernel (enables the queued engine).
+        """Bind the device to an event kernel.
 
-        Reads/writes issued under deferred-I/O collection then block at a
-        real FIFO resource instead of consulting analytic channel state.
+        Reads/writes issued by its processes (``read_proc``/``write_proc``,
+        or under deferred-I/O collection) then block at a FIFO resource.
         """
-        self._kernel = kernel
         self._resource = kernel.resource(
             self.profile.channels, name=f"device/{self.profile.name}"
         )
@@ -217,56 +208,33 @@ class StorageDevice:
             stats.writes += 1
             stats.bytes_written += size
         if IO_PLANS and self._resource is not None:
-            # kernel engine: decision-visible counters move at the arrival
-            # instant (synchronous callers may inspect them); the transfer
-            # itself is deferred to the owning process, which experiences
-            # queueing at the device resource.  Timing stats are recorded
-            # at replay from measured waits.
-            self.last_wait = 0.0
+            # decision-visible counters move at the arrival instant
+            # (synchronous callers may inspect them); the transfer itself is
+            # deferred to the owning process, which queues at the resource
             IO_PLANS[-1].append(partial(self._transfer_op, size, service, is_read))
             return 0.0
-        arrival = self.clock.now()
-        if self._queueing:
-            free_at = heapq.heappop(self._channel_free)
-            start = max(arrival, free_at)
-            heapq.heappush(self._channel_free, start + service)
-        else:
-            # contention-free mode: pure service time.  Used where the
-            # caller does not advance the clock between requests (the
-            # Presto simulator measures per-request latency analytically).
-            start = arrival
-        wait = start - arrival
-        self.last_wait = wait
-        if wait > 0:
-            stats.blocked_requests += 1
-            stats.total_wait += wait
-        stats.busy_time += service
-        if self._keep_records:
-            stats.records.append(
-                RequestRecord(arrival=arrival, wait=wait, service=service,
-                              size=size, is_read=is_read)
-            )
-        return wait + service
+        return service
 
     def read(self, size: int) -> float:
-        """Submit a read of ``size`` bytes at the current time; returns latency."""
+        """Submit a read of ``size`` bytes; returns its service time (0 when
+        deferred to a kernel process)."""
         if IO_PLANS and self._resource is not None and size >= 0:
             # `_submit`'s kernel branch, inlined: every simulated-SSD hit
             # comes through here, and this is its one frame (DESIGN.md §16)
             stats = self.stats
             stats.reads += 1
             stats.bytes_read += size
-            self.last_wait = 0.0
             service = self.profile.seek_latency + size / self.profile.read_bandwidth
             IO_PLANS[-1].append(partial(self._transfer_op, size, service, True))
             return 0.0
         return self._submit(size, is_read=True)
 
     def write(self, size: int) -> float:
-        """Submit a write of ``size`` bytes at the current time; returns latency."""
+        """Submit a write of ``size`` bytes; returns its service time (0 when
+        deferred to a kernel process)."""
         return self._submit(size, is_read=False)
 
-    # -- kernel engine -------------------------------------------------------
+    # -- kernel processes ----------------------------------------------------
 
     def read_proc(self, size: int):
         """Process-style read: experiences queueing, returns measured latency."""
@@ -351,7 +319,6 @@ class StorageDevice:
                 RequestRecord(arrival=arrival, wait=wait, service=service,
                               size=size, is_read=is_read)
             )
-        self.last_wait = wait
         return wait + service
 
     def _update_gauges(self, tracer) -> None:
@@ -376,25 +343,6 @@ class StorageDevice:
         else:  # `Gauge.set` without an exemplar, minus its frame
             depth.value = resource.in_use + waiting
             blocked.value = waiting
-
-    def queue_depth(self) -> int:
-        """Requests currently in flight or waiting (at the clock's now).
-
-        With a kernel attached this is *live* occupancy -- processes in
-        service plus processes blocked in the resource's FIFO -- rather
-        than a projection from analytic channel state.
-        """
-        if self._resource is not None:
-            return self._resource.queue_depth
-        now = self.clock.now()
-        return sum(1 for free_at in self._channel_free if free_at > now)
-
-    def utilization(self, horizon: float | None = None) -> float:
-        """Busy fraction of one channel-second over ``horizon`` (default: now)."""
-        elapsed = horizon if horizon is not None else self.clock.now()
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / (elapsed * self.profile.channels))
 
     def blocked_per_bucket(
         self, bucket_seconds: float = 60.0, *, min_wait: float = 0.0

@@ -15,7 +15,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.errors import DataNodeOfflineError, RetriesExhaustedError
 from repro.resilience.health import NodeHealthTracker
 from repro.resilience.policy import RetryPolicy
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.hdfs.block import BlockId
 from repro.storage.hdfs.datanode import BlockReadResult, DataNode
 from repro.storage.hdfs.namenode import FileStatus, NameNode

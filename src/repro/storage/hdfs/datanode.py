@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from repro.errors import BlockNotFoundError, DataNodeOfflineError, StaleReadError
 from repro.obs.tracer import current_tracer
-from repro.sim.kernel import collecting_io, replay_plan
+from repro.ports.clock import Clock, SimClock
 from repro.storage.hdfs.block import Block, BlockId
 from repro.storage.device import DeviceProfile, StorageDevice
-from repro.sim.clock import Clock, SimClock
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,34 +108,7 @@ class DataNode:
         tracer = current_tracer()
         with tracer.span("hdd_read", actor=self.name) as span:
             latency = self.device.read(len(data))
-            wait = self.device.last_wait
-            span.charge("queueing", wait)
-            span.charge("remote", latency - wait)
-        return BlockReadResult(data=data, latency=latency)
-
-    def read_block_proc(
-        self, identity: BlockId, offset: int = 0, length: int | None = None
-    ):
-        """Kernel-mode ranged read: the calling process *blocks* in the
-        HDD's FIFO queue; the returned latency is measured, not derived.
-
-        Requires ``device.attach_kernel(...)``; replay the generator with
-        ``yield from`` inside a kernel process.
-        """
-        if not self.device.kernel_attached:
-            raise RuntimeError("read_block_proc requires device.attach_kernel()")
-        self._check_online()
-        block = self._get(identity)
-        if length is None:
-            length = block.length - offset
-        data = block.data[offset : offset + length]
-        tracer = current_tracer()
-        with tracer.span("hdd_read", actor=self.name):
-            plan: list = []
-            with collecting_io(plan):
-                self.device.read(len(data))
-            # the deferred transfer charges measured queueing/service itself
-            latency = yield from replay_plan(plan)
+            span.charge("remote", latency)
         return BlockReadResult(data=data, latency=latency)
 
     # -- mutations ------------------------------------------------------------------

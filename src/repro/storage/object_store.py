@@ -24,7 +24,7 @@ from repro.errors import (
     RemoteReadError,
 )
 from repro.obs.tracer import current_tracer
-from repro.sim.clock import Clock, SimClock
+from repro.ports.clock import Clock, SimClock
 from repro.sim.kernel import (
     Cancelled,
     Timeout,

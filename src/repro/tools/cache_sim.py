@@ -22,8 +22,8 @@ from repro.core.admission.rate_limiter import BucketTimeRateLimit
 from repro.core.config import CacheConfig
 from repro.core.page import installed_time_source
 from repro.service.sim_transport import build_sim_cache
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 from repro.tools.trace_stats import read_trace
 

@@ -21,7 +21,6 @@ SECTION_ORDER = [
     ("fig10_scan_time_percentiles", "Figure 10 — scan time percentiles"),
     ("fig13_cache_read_rates", "Figure 13 — DataNode read rates"),
     ("fig14_blocked_processes", "Figure 14 — blocked processes"),
-    ("fig14_kernel_smoke", "Figure 14 — event kernel vs analytic"),
     ("fig15_tpcds_full", "Figure 15 — TPC-DS Q1–Q49"),
     ("fig16_tpcds_full", "Figure 16 — TPC-DS Q50–Q99"),
     ("fig15_16_summary", "TPC-DS Q1–Q99 summary"),

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.report import Table
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.traces import BlockAccess, HostTraceSpec, TraceGenerator, stats_of
 from repro.workload.zipf import fit_zipf_exponent
 

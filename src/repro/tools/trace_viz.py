@@ -40,9 +40,9 @@ from repro.obs import (
     spans_to_jsonl,
 )
 from repro.obs.span import Span
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 def load_spans(path: str | Path) -> list[Span]:

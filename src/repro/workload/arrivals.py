@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 def poisson_arrivals(

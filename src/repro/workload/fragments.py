@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 KIB = 1024
 MIB = 1024 * KIB

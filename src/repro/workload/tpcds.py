@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.presto.catalog import Catalog, build_table
 from repro.presto.query import QueryProfile, TableScan
 from repro.presto.operators import ScanProfile
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource, SyntheticDataSource
 
 MIB = 1024 * 1024

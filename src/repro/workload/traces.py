@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.zipf import ZipfSampler
 
 

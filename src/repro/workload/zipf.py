@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 class ZipfSampler:

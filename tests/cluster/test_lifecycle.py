@@ -8,10 +8,10 @@ from repro.cluster.membership import NodeState
 from repro.cluster.rebalance import ShardRebalancer
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.remote import NullDataSource
 from repro.workload.arrivals import poisson_arrivals
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 MIB = 1024 * 1024
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.membership import ClusterMembership, NodeState
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 
 KEYS = [f"file-{i:03d}" for i in range(64)]
 

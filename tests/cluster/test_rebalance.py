@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.rebalance import ShardRebalancer
 from repro.presto.worker import Worker
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.storage.remote import NullDataSource
 

@@ -16,7 +16,7 @@ from repro.core import (
 from repro.core.admission import BucketTimeRateLimit
 from repro.core.pagestore import FaultPlan, MemoryPageStore, SimulatedSsdPageStore
 from repro.service.sim_transport import KernelScheduler
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import SyntheticDataSource

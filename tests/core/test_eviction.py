@@ -15,7 +15,7 @@ from repro.core.eviction import (
     make_eviction_policy,
 )
 from repro.core.page import PageId
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 ALL_POLICIES = ["lru", "fifo", "random", "lfu", "clock", "2q", "slru"]
 

@@ -11,9 +11,9 @@ import pytest
 
 from repro.core import CacheConfig, LocalCacheManager, PageId
 from repro.core.pagestore import FaultPlan, SimulatedSsdPageStore
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, collecting_io, replay_plan
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import SyntheticDataSource
 

@@ -9,7 +9,7 @@ from repro.core.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 class TestPrimitives:

@@ -166,7 +166,7 @@ class TestTimeSource:
 
     def test_injected_source_stamps_new_pages(self):
         from repro.core.page import reset_time_source, set_time_source
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         clock = SimClock()
         clock.advance(42.0)
@@ -191,7 +191,7 @@ class TestTimeSource:
 
     def test_ttl_expiry_against_injected_clock(self):
         from repro.core.page import reset_time_source, set_time_source
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         clock = SimClock()
         set_time_source(clock.now)
@@ -204,7 +204,7 @@ class TestTimeSource:
 
     def test_installed_time_source_scopes_and_restores(self):
         from repro.core.page import installed_time_source, now_wall
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         clock = SimClock(start=7.0)
         with installed_time_source(clock.now):
@@ -215,7 +215,7 @@ class TestTimeSource:
 
     def test_installed_time_source_restores_on_error(self):
         from repro.core.page import installed_time_source, now_wall
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         import time
 
@@ -228,7 +228,7 @@ class TestTimeSource:
         """Nested scenarios restore the *enclosing* source, not the wall
         clock -- the chaos soak's double-run depends on this."""
         from repro.core.page import installed_time_source, now_wall
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         outer, inner = SimClock(start=100.0), SimClock(start=200.0)
         with installed_time_source(outer.now):

@@ -17,7 +17,7 @@ from repro.errors import (
     PageCorruptedError,
     PageNotFoundError,
 )
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.device import DeviceProfile, StorageDevice
 
 PID = PageId("warehouse/orders/part-0", 3)

@@ -6,7 +6,7 @@ from repro.core.metastore import PageMetaStore
 from repro.core.page import PageId, PageInfo
 from repro.core.quota import QuotaManager
 from repro.core.scope import CacheScope
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 TABLE = CacheScope.for_table("s", "t")
 PART_A = TABLE.child("a")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.distributed import CacheWorker, DistributedCacheClient
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.remote import SyntheticDataSource
 
 KIB = 1024

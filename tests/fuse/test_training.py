@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CacheConfig, LocalCacheManager
 from repro.fuse import CachedFileSystem, TrainingConfig, TrainingLoop
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource
 
 KIB = 1024

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.admission import BucketTimeRateLimit
 from repro.hdfs_cache import CachedDataNode
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
 
 BLOCK = 4096

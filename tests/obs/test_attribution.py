@@ -12,8 +12,8 @@ from repro.obs.attribution import (
 )
 from repro.obs.buffer import SpanBuffer
 from repro.obs.tracer import SimTracer
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 
 
 def make_tracer():

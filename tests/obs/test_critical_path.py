@@ -5,8 +5,8 @@ import pytest
 from repro.obs.buffer import SpanBuffer
 from repro.obs.critical_path import critical_path, format_critical_path
 from repro.obs.tracer import SimTracer
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 
 
 def make_tracer():

@@ -13,8 +13,8 @@ from repro.obs.export import (
     tree_signature,
 )
 from repro.obs.tracer import SimTracer
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 
 
 def make_tracer(seed=17):

@@ -22,8 +22,8 @@ from repro.obs import (
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
 from repro.resilience import ResilientDataSource, RetryPolicy
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.remote import NullDataSource, ReadResult
 
 MIB = 1024 * 1024

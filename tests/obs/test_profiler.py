@@ -17,7 +17,7 @@ from repro.obs.profiler import (
     classify_wait,
     process_type,
 )
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.hostclock import installed_host_clock
 from repro.sim.kernel import (
     AllOf,

@@ -5,8 +5,8 @@ import pytest
 from repro.obs.buffer import SpanBuffer
 from repro.obs.span import ATTRIBUTION_BUCKETS, NOOP_SPAN, iter_children
 from repro.obs.tracer import SimTracer
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 
 
 @pytest.fixture

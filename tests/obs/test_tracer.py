@@ -12,8 +12,8 @@ from repro.obs.tracer import (
     reset_tracer,
     set_tracer,
 )
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 
 
 def make_tracer(seed=5, **kwargs):

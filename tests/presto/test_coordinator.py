@@ -211,7 +211,7 @@ class TestSplitFailover:
 
     def test_health_feeds_scheduler_skips(self):
         from repro.resilience import BreakerBoard, NodeHealthTracker
-        from repro.sim.clock import SimClock
+        from repro.ports.clock import SimClock
 
         clock = SimClock()
         health = NodeHealthTracker(

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.presto.hashring import ConsistentHashRing
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 
 
 def make_ring(n=4, **kwargs) -> ConsistentHashRing:

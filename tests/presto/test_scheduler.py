@@ -5,7 +5,7 @@ import pytest
 from repro.presto.hashring import ConsistentHashRing
 from repro.presto.scheduler import RandomScheduler, SoftAffinityScheduler
 from repro.presto.split import Split
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 def split_for(file_id: str, offset: int = 0) -> Split:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.resilience import BreakerBoard, BreakerState, CircuitBreaker
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 
 
 def make_breaker(clock=None, **kwargs):

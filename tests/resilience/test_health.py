@@ -1,7 +1,7 @@
 """Tests for the node health tracker feeding placement decisions."""
 
 from repro.resilience import BreakerBoard, NodeHealthTracker
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 
 
 def make_tracker(**breaker_kwargs):

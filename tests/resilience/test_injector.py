@@ -5,9 +5,9 @@ import pytest
 from repro.errors import RemoteCorruptionError, RemoteReadError
 from repro.presto.hashring import ConsistentHashRing
 from repro.resilience import ChaosInjector, FaultyDataSource, RemoteFaultState
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.object_store import ObjectStore
 from repro.storage.remote import SyntheticDataSource
 

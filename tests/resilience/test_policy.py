@@ -3,7 +3,7 @@
 import pytest
 
 from repro.resilience import RetryPolicy
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 class TestBackoff:

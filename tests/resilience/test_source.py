@@ -8,8 +8,8 @@ from repro.errors import (
     RetriesExhaustedError,
 )
 from repro.resilience import CircuitBreaker, HedgePolicy, ResilientDataSource, RetryPolicy
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.remote import ReadResult, SyntheticDataSource
 
 

@@ -18,9 +18,9 @@ import pytest
 from repro.resilience.hedge import HedgePolicy
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.source import ResilientDataSource
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, Timeout
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.storage.object_store import ObjectStore, ObjectStoreProfile
 from repro.storage.remote import ObjectStoreDataSource
 

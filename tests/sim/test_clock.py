@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import Clock, SimClock, WallClock
+from repro.ports.clock import Clock, SimClock, WallClock
 
 
 class TestSimClock:

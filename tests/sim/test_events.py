@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
 
 

@@ -16,12 +16,11 @@ from repro.obs.tracer import SimTracer, installed_tracer
 from repro.resilience.hedge import HedgePolicy
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.source import ResilientDataSource
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import (
     Cancelled,
     Kernel,
     KernelError,
-    SimMode,
     Timeout,
     all_of,
     any_of,
@@ -30,7 +29,7 @@ from repro.sim.kernel import (
     io_collection_active,
     replay_plan,
 )
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.object_store import ObjectStore, ObjectStoreProfile
@@ -497,6 +496,3 @@ class TestAttributionReconciliation:
             waits += attribution.buckets.get("queueing", 0.0)
         # contention was real: five of six readers queued
         assert waits > 0
-
-    def test_mode_enum_exists(self):
-        assert SimMode.ANALYTIC is not SimMode.KERNEL

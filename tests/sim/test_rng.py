@@ -1,6 +1,6 @@
 """Tests for named seeded RNG streams."""
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 
 
 class TestRngStream:

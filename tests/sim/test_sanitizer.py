@@ -9,9 +9,9 @@ not.
 
 import pytest
 
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.sim.sanitizer import (
     DeterminismHarness,
     DeterminismViolation,

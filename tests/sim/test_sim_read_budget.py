@@ -25,7 +25,7 @@ from repro.core.config import MIB, CacheConfig, CacheDirectory
 from repro.core.metrics import MetricsRegistry
 from repro.core.page import installed_time_source
 from repro.service.sim_transport import build_sim_cache
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, collecting_io, replay_plan
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import NullDataSource
@@ -45,7 +45,7 @@ class KernelCache:
         metrics = MetricsRegistry("budget")
         device = StorageDevice(
             DeviceProfile.ssd_local(), self.clock, keep_records=False,
-            queueing=False, service_bucket="cache_ssd", metrics=metrics,
+            service_bucket="cache_ssd", metrics=metrics,
         ).attach_kernel(self.kernel)
         self.cache = build_sim_cache(
             CacheConfig(

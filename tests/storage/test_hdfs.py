@@ -8,7 +8,8 @@ from repro.errors import (
     FileNotFoundInStorageError,
     StaleReadError,
 )
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
+from repro.sim.kernel import Kernel, collecting_io, replay_plan
 from repro.storage.hdfs import Block, BlockId, BlockMetaFile, DataNode, DfsClient, NameNode
 
 
@@ -156,15 +157,26 @@ class TestDataNodeReads:
         assert result.latency > 0
 
     def test_hdd_queueing_produces_blocked_requests(self):
-        """Burst reads on the single-channel HDD wait in line."""
+        """Burst reads on the single-channel HDD, issued by kernel processes
+        at one instant, wait in line."""
         clock, nodes, __, client = make_cluster(n_nodes=1, block_size=10**6)
         client.create("/f", b"x" * 10**6)
         status = client.namenode.get_file_status("/f")
-        clock.advance(10.0)  # let the ingest write drain
-        nodes[0].device.reset_stats()
+        node = nodes[0]
+        kernel = Kernel(clock)
+        node.device.attach_kernel(kernel)
+        node.device.reset_stats()
+
+        def reader():
+            plan: list = []
+            with collecting_io(plan):
+                node.read_block(status.blocks[0])
+            yield from replay_plan(plan)
+
         for __ in range(5):
-            nodes[0].read_block(status.blocks[0])
-        assert nodes[0].device.stats.blocked_requests == 4
+            kernel.spawn(reader())
+        kernel.run()
+        assert node.device.stats.blocked_requests == 4
 
     def test_bytes_stored(self):
         __, nodes, __, client = make_cluster(n_nodes=1, block_size=100)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFoundInStorageError
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
 from repro.storage.hdfs.viewfs import ViewFs
 

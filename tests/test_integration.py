@@ -16,7 +16,7 @@ from repro.format import (
 )
 from repro.fuse import CachedFileSystem
 from repro.hdfs_cache import CachedDataNode
-from repro.sim.clock import SimClock
+from repro.ports.clock import SimClock
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
 from repro.storage.object_store import ObjectStore
 from repro.storage.remote import ObjectStoreDataSource

@@ -16,8 +16,8 @@ from repro.core.admission import BucketTimeRateLimit
 from repro.hdfs_cache import CachedDataNode
 from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
-from repro.sim.clock import SimClock
-from repro.sim.rng import RngStream
+from repro.ports.clock import SimClock
+from repro.ports.rng import RngStream
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
 from repro.storage.remote import NullDataSource, SyntheticDataSource
 

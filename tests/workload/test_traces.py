@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.traces import (
     HostTraceSpec,
     TraceGenerator,

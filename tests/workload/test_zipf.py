@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import RngStream
+from repro.ports.rng import RngStream
 from repro.workload.zipf import ZipfSampler, fit_zipf_exponent
 
 
