@@ -1,7 +1,7 @@
 """Microbenchmark: ``Kernel.call_after_many`` vs. the call_after loop.
 
 Satellite of the "one core, two transports" PR: batched timer insertion
-exists so bulk arrival injection (trace replay, load-gen fan-out) does
+exists so bulk arrival injection (trace replay, closed-loop client fan-out) does
 not pay m heap pushes.  This rung shows two things:
 
 - the batch path is not slower than the loop (weak, non-flaky bound --

@@ -10,7 +10,6 @@ contribution -- together with every substrate its evaluation depends on:
   seeded RNG streams).
 - :mod:`repro.storage` -- device models, an S3-like object store, and an
   HDFS subset (NameNode / DataNodes / generation stamps).
-- :mod:`repro.format` -- a simplified Parquet/ORC-like columnar container.
 - :mod:`repro.presto` -- a Presto simulator with soft-affinity scheduling
   and per-query runtime stats.
 - :mod:`repro.hdfs_cache` -- the HDFS DataNode local cache with

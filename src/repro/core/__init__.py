@@ -33,7 +33,7 @@ from repro.core.config import (
     CacheDirectory,
 )
 from repro.core.metrics import AggregatedMetrics, MetricsRegistry
-from repro.core.page import PageId, PageInfo, pages_for_range
+from repro.core.page import PageId, PageInfo
 from repro.core.quota import QuotaManager, QuotaViolation
 from repro.core.scope import CacheScope
 
@@ -46,7 +46,6 @@ __all__ = [
     "CacheScope",
     "PageId",
     "PageInfo",
-    "pages_for_range",
     "QuotaManager",
     "QuotaViolation",
     "MetricsRegistry",

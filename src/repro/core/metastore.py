@@ -120,23 +120,6 @@ class PageMetaStore:
             self._expiring.pop(page_id, None)
         return info
 
-    def _remove_all(self, infos: list[PageInfo]) -> list[PageInfo]:
-        for info in infos:
-            self.remove(info.page_id)
-        return infos
-
-    def remove_file(self, file_id: str) -> list[PageInfo]:
-        """Remove all pages of one file; returns the removed metadata."""
-        return self._remove_all(self.pages_of_file(file_id))
-
-    def remove_scope(self, scope: CacheScope) -> list[PageInfo]:
-        """Remove every page under a scope subtree (partition drop)."""
-        return self._remove_all(self.pages_in_scope(scope))
-
-    def remove_dir(self, directory: int) -> list[PageInfo]:
-        """Remove every page on one storage directory (faulty device)."""
-        return self._remove_all(self.pages_in_dir(directory))
-
     def all_pages(self) -> Iterable[PageInfo]:
         return iter(self._pages)
 

@@ -91,42 +91,9 @@ class PageInfo:
     def file_id(self) -> str:
         return self.page_id.file_id
 
-    def touch(self, now: float) -> None:
-        """Record a hit at virtual time ``now``."""
-        self.last_access = now
-        self.access_count += 1
-
     def is_expired(self, now: float) -> bool:
         """True if this page's TTL has elapsed at time ``now``."""
         return self.ttl is not None and now - self.created_at >= self.ttl
-
-
-def pages_for_range(
-    file_id: str, offset: int, length: int, page_size: int
-) -> list[tuple[PageId, int, int]]:
-    """Split a byte range of a file into page-aligned fragments.
-
-    Returns a list of ``(page_id, offset_in_page, length_in_page)`` covering
-    ``[offset, offset + length)``.  This is the translation the cache applies
-    to every positional read (Section 4.3).
-
-    >>> pages_for_range("f", 0, 10, 4)
-    [(PageId(file_id='f', page_index=0), 0, 4), (PageId(file_id='f', page_index=1), 0, 4), (PageId(file_id='f', page_index=2), 0, 2)]
-    """
-    if page_size <= 0:
-        raise ValueError(f"page_size must be positive, got {page_size}")
-    if offset < 0 or length < 0:
-        raise ValueError(f"offset/length must be >= 0, got {offset}/{length}")
-    fragments: list[tuple[PageId, int, int]] = []
-    position = offset
-    end = offset + length
-    while position < end:
-        index = position // page_size
-        in_page = position - index * page_size
-        take = min(page_size - in_page, end - position)
-        fragments.append((PageId(file_id, index), in_page, take))
-        position += take
-    return fragments
 
 
 _time_source: Callable[[], float] = _time.time

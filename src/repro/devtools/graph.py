@@ -37,9 +37,8 @@ _PROJECT_ROOT_PACKAGE = "repro"
 
 _DOMAIN_PACKAGES = (
     "repro.analysis", "repro.cluster", "repro.core", "repro.distributed",
-    "repro.format", "repro.fuse", "repro.hdfs_cache", "repro.kv",
-    "repro.presto", "repro.resilience", "repro.service", "repro.storage",
-    "repro.tools", "repro.workload",
+    "repro.fuse", "repro.hdfs_cache", "repro.presto", "repro.resilience",
+    "repro.service", "repro.storage", "repro.tools", "repro.workload",
 )
 
 

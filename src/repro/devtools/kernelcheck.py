@@ -530,14 +530,13 @@ class BlockingCallInProcessRule(Rule):
     )
     include = ("src/repro",)
     allow = (
-        # The real-transport zone (DESIGN.md §14): the asyncio service and
-        # its load generator are wall-clock by design and host no kernel
-        # processes.  service/sim_transport.py is deliberately NOT listed --
-        # it runs in virtual time and stays under full KRN scrutiny.
+        # The real-transport zone (DESIGN.md §14): the asyncio service is
+        # wall-clock by design and hosts no kernel processes.
+        # service/sim_transport.py is deliberately NOT listed -- it runs in
+        # virtual time and stays under full KRN scrutiny.
         "src/repro/service/protocol.py",
         "src/repro/service/server.py",
         "src/repro/service/client.py",
-        "src/repro/tools/load_gen.py",
     )
 
     def check(self, tree, path, lines):

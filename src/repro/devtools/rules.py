@@ -107,14 +107,13 @@ class NoWallClockRule(Rule):
         "src/repro/core/page.py",      # documented set_time_source() shim
         "src/repro/sim/hostclock.py",  # sanctioned host-clock API (profiling)
         "tests/core/test_page.py",     # exercises the shim against real time
-        # The real-transport zone (DESIGN.md §14): the asyncio service and
-        # its load generator run on wall-clock time by design.
+        # The real-transport zone (DESIGN.md §14): the asyncio service
+        # runs on wall-clock time by design.
         # service/sim_transport.py is deliberately NOT listed -- it runs in
         # virtual time and stays under full determinism scrutiny.
         "src/repro/service/protocol.py",
         "src/repro/service/server.py",
         "src/repro/service/client.py",
-        "src/repro/tools/load_gen.py",
     )
 
     def check(self, tree, path, lines):
@@ -413,7 +412,7 @@ class SimPurityRule(Rule):
     A ``sleep`` or a real file/network round-trip re-couples virtual time
     to the host: latency becomes load-dependent and the event order can
     change between runs.  Real I/O is confined to the explicitly
-    persistent components (journal, LSM WAL, local page store) and the
+    persistent components (scope journal, local page store) and the
     ``tools``/``devtools`` CLIs.
     """
 
@@ -425,7 +424,6 @@ class SimPurityRule(Rule):
         "src/repro/devtools",           # the linter reads source files
         "src/repro/core/recovery.py",   # crash-safe scope journal
         "src/repro/core/pagestore/local.py",  # the real-SSD page store
-        "src/repro/kv/lsm.py",          # WAL + SSTable persistence
     )
 
     def check(self, tree, path, lines):

@@ -48,14 +48,6 @@ class NoSpaceLeftError(CacheError, OSError):
     """
 
 
-class QuotaExceededError(CacheError):
-    """A put would exceed a quota and eviction could not reclaim enough."""
-
-
-class AdmissionRejectedError(CacheError):
-    """The admission controller declined to cache a page."""
-
-
 class StorageError(ReproError):
     """Base class for simulated remote-storage errors."""
 
@@ -95,10 +87,6 @@ class CircuitOpenError(ReproError):
 
 class RetriesExhaustedError(ReproError):
     """Every retry attempt against a remote target failed."""
-
-
-class FormatError(ReproError):
-    """A columnar container failed to parse (bad magic, truncated footer)."""
 
 
 class SchedulerError(ReproError):

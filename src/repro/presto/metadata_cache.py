@@ -3,8 +3,7 @@
 Parsing column-oriented file metadata can consume up to 30 % of worker CPU
 (Section 7); caching the *deserialized* objects avoids that.  Metadata is
 key-value shaped, so unlike page data it may live in memory or an external
-KV store; this implementation is an LRU-bounded in-memory map with a
-pluggable (dict-like) backing to mirror the RocksDB option.
+KV store; this implementation is the in-memory option, an LRU-bounded map.
 """
 
 from __future__ import annotations
@@ -23,92 +22,44 @@ class MetadataCache:
     *latest* file version from storage before splitting, and stale entries
     are invalidated by version-qualified keys -- callers embed the file's
     modification stamp in the key, so an updated file simply misses.
-
-    An optional ``backing`` key-value store (e.g.
-    :class:`~repro.kv.lsm.LsmKvStore`, the RocksDB stand-in) persists
-    entries beyond the in-memory LRU: evicted or restart-lost entries are
-    refilled from it on access, which is exactly the "metadata in memory
-    or RocksDB" production deployment of Section 6.1.1.  Backing values
-    must then be serializable by the chosen store.
     """
 
-    def __init__(self, capacity: int = 10_000, *, backing=None) -> None:
+    def __init__(self, capacity: int = 10_000) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.backing = backing
         self._entries: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.backing_hits = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._entries:
-            return True
-        return self.backing is not None and key in self.backing
+        return key in self._entries
 
     def get(self, key: str, default: Any = None) -> Any:
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
             return self._entries[key]
-        if self.backing is not None:
-            marker = object()
-            value = self.backing.get(key, marker)
-            if value is not marker:
-                self.backing_hits += 1
-                self.hits += 1
-                self._admit(key, value, write_backing=False)
-                return value
         self.misses += 1
         return default
 
     def put(self, key: str, value: Any) -> None:
-        self._admit(key, value, write_backing=True)
-
-    def _admit(self, key: str, value: Any, *, write_backing: bool) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        if write_backing and self.backing is not None:
-            self.backing.put(key, value)
-
-    # dict-style aliases so the cache plugs into ColumnarReader's
-    # ``metadata_cache`` parameter directly
-    def __getitem__(self, key: str) -> Any:
-        value = self.get(key, default=_MISSING)
-        if value is _MISSING:
-            raise KeyError(key)
-        return value
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self.put(key, value)
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry everywhere (e.g. the backing file changed)."""
-        in_memory = key in self._entries
-        if in_memory:
-            del self._entries[key]
-        in_backing = self.backing is not None and self.backing.delete(key)
-        return in_memory or bool(in_backing)
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the backing store survives restarts --
-        that is its purpose)."""
-        self._entries.clear()
+        """Drop one entry (e.g. the backing file changed)."""
+        if key not in self._entries:
+            return False
+        del self._entries[key]
+        return True
 
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()

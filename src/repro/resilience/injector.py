@@ -203,9 +203,6 @@ class ChaosInjector:
         loop.call_at(at, lambda: self.crash(name))
         loop.call_at(at + duration, lambda: self.revive(name))
 
-    def schedule_restart(self, loop: Kernel, name: str, at: float) -> None:
-        loop.call_at(at, lambda: self.restart(name))
-
     def maybe_crash(self, name: str, probability: float) -> bool:
         """Crash ``name`` with the given probability (one rng draw)."""
         if not 0.0 <= probability <= 1.0:

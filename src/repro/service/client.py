@@ -6,7 +6,7 @@ Three layers, innermost first:
   many may be in flight at once; response frames (arriving in any order)
   are matched back to their futures as the socket delivers them.
 - :class:`CacheClientPool` -- N connections, round-robin dispatch; the
-  unit the load generator drives.
+  unit the facade below runs.
 - :class:`RemoteCacheDataSource` -- a *synchronous*
   :class:`~repro.storage.remote.DataSource` facade running the pool on a
   private background event loop.  It raises ``ConnectionError`` /

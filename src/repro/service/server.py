@@ -375,7 +375,7 @@ def build_engine(
     base_latency_ms: float,
     bandwidth_mb_s: float,
 ) -> CacheEngine:
-    """Engine + synthetic remote for the standalone server / load-gen rig."""
+    """Engine + synthetic remote for the standalone server."""
     # deferred: keeps `import repro.service.server` free of repro.storage
     from repro.core.config import CacheConfig
     from repro.ports.clock import WallClock

@@ -17,9 +17,9 @@ Two things live here:
 - :class:`SimTransport` -- a closed-loop driver that replays a request
   sequence through the engine under the kernel with N concurrent client
   processes (deferred-IO collection + replay, device queueing included).
-  ``tools/load_gen.py`` runs the *same* key sequence through this and
-  through real sockets to produce the sim-vs-real latency-shape
-  comparison in ``BENCH_service.json``.
+  ``tests/service/test_sim_vs_real.py`` runs one key sequence through
+  this and through a real socket and asserts identical hit, miss and
+  eviction counts.
 """
 
 from __future__ import annotations
@@ -149,10 +149,12 @@ class SimTransport:
     """Drive a :class:`CacheEngine` closed-loop under the event kernel.
 
     ``clients`` concurrent kernel processes each work a round-robin shard
-    of the request sequence -- the same sharding the socket load
-    generator uses -- so queueing contention at the (kernel-attached)
-    page-store device shapes latencies exactly as connection concurrency
-    shapes them over real sockets.
+    of the request sequence, so queueing contention at the
+    (kernel-attached) page-store device shapes latencies the way
+    connection concurrency shapes them over real sockets.  With one
+    client the cache sees the sequence in order, so its hits, misses and
+    evictions equal those of one real connection replaying it; with more,
+    the interleaving differs and so may the counts.
     """
 
     def __init__(self, engine: CacheEngine, kernel: Kernel | None = None) -> None:

@@ -458,10 +458,6 @@ class Channel:
         """Items queued and not yet claimed by a getter."""
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
 
 class _Combinator:
     """Base for :func:`any_of` / :func:`all_of` wait groups."""

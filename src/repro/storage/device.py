@@ -76,17 +76,6 @@ class DeviceProfile:
         )
 
     @classmethod
-    def hdd_legacy(cls) -> "DeviceProfile":
-        """A 4TB HDD of the older SKU the paper says is being replaced."""
-        return cls(
-            name="hdd-4tb",
-            read_bandwidth=160e6,
-            write_bandwidth=140e6,
-            seek_latency=9e-3,
-            channels=1,
-        )
-
-    @classmethod
     def ssd_local(cls) -> "DeviceProfile":
         """A local NVMe SSD: ~2 GB/s, deep internal parallelism."""
         return cls(

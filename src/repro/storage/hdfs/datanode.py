@@ -59,9 +59,6 @@ class DataNode:
             block.identity.generation_stamp
         ] = block
 
-    def has_block(self, identity: BlockId) -> bool:
-        return identity.generation_stamp in self._blocks.get(identity.block_id, {})
-
     def block_length(self, identity: BlockId) -> int:
         self._check_online()
         return self._get(identity).length

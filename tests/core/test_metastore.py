@@ -101,37 +101,6 @@ class TestBulkLookups:
         assert [p.file_id for p in store.pages_in_dir(1)] == ["g"]
 
 
-class TestBulkRemoval:
-    def test_remove_file(self):
-        store = PageMetaStore()
-        store.add(info("f", 0, size=10))
-        store.add(info("f", 1, size=10))
-        store.add(info("g", 0, size=10))
-        removed = store.remove_file("f")
-        assert len(removed) == 2
-        assert store.bytes_used == 10
-        assert store.pages_of_file("f") == []
-
-    def test_remove_scope(self):
-        store = PageMetaStore()
-        store.add(info("f", 0, scope=PART_A, size=10))
-        store.add(info("g", 0, scope=PART_B, size=10))
-        store.add(info("h", 0, scope=OTHER_TABLE, size=10))
-        removed = store.remove_scope(TABLE)
-        assert len(removed) == 2
-        assert store.bytes_in_scope(TABLE) == 0
-        assert store.bytes_used == 10
-
-    def test_remove_dir(self):
-        store = PageMetaStore()
-        store.add(info("f", 0, directory=0, size=10))
-        store.add(info("g", 0, directory=1, size=10))
-        removed = store.remove_dir(0)
-        assert [p.file_id for p in removed] == ["f"]
-        assert store.bytes_in_dir(0) == 0
-        assert store.bytes_used == 10
-
-
 class TestRecordsAreMutable:
     def test_counters_return_to_zero_whatever_happened_to_the_record(self):
         """Regression: ``ms.add(info); info.directory = 1; ms.remove(id)``

@@ -1,13 +1,10 @@
-"""Tests for page identity, metadata, and range-to-page math."""
+"""Tests for page identity, metadata, and the time source."""
 
 import pickle
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.core.page import PageId, PageInfo, pages_for_range
-from repro.core.scope import CacheScope
+from repro.core.page import PageId, PageInfo
 
 
 class TestPageId:
@@ -70,12 +67,6 @@ class TestPageInfo:
         with pytest.raises(ValueError):
             PageInfo(PageId("f", 0), size=1, ttl=0.0)
 
-    def test_touch(self):
-        info = PageInfo(PageId("f", 0), size=1, created_at=0.0)
-        info.touch(9.0)
-        assert info.last_access == 9.0
-        assert info.access_count == 1
-
     def test_ttl_expiry(self):
         info = PageInfo(PageId("f", 0), size=1, created_at=10.0, ttl=60.0)
         assert not info.is_expired(69.9)
@@ -87,58 +78,6 @@ class TestPageInfo:
 
     def test_file_id_shortcut(self):
         assert PageInfo(PageId("f", 2), size=1).file_id == "f"
-
-
-class TestPagesForRange:
-    def test_exact_single_page(self):
-        frags = pages_for_range("f", 0, 4, 4)
-        assert frags == [(PageId("f", 0), 0, 4)]
-
-    def test_spanning_pages(self):
-        frags = pages_for_range("f", 2, 6, 4)
-        assert frags == [(PageId("f", 0), 2, 2), (PageId("f", 1), 0, 4)]
-
-    def test_interior_fragment(self):
-        frags = pages_for_range("f", 5, 2, 4)
-        assert frags == [(PageId("f", 1), 1, 2)]
-
-    def test_zero_length(self):
-        assert pages_for_range("f", 10, 0, 4) == []
-
-    def test_bad_page_size(self):
-        with pytest.raises(ValueError):
-            pages_for_range("f", 0, 1, 0)
-
-    def test_negative_offset(self):
-        with pytest.raises(ValueError):
-            pages_for_range("f", -1, 1, 4)
-
-    @given(
-        offset=st.integers(min_value=0, max_value=10_000),
-        length=st.integers(min_value=0, max_value=10_000),
-        page_size=st.integers(min_value=1, max_value=257),
-    )
-    def test_fragments_tile_the_range(self, offset, length, page_size):
-        """Fragments are contiguous, in order, and cover exactly the range."""
-        frags = pages_for_range("f", offset, length, page_size)
-        assert sum(take for __, __, take in frags) == length
-        position = offset
-        for page_id, in_page, take in frags:
-            assert page_id.page_index * page_size + in_page == position
-            assert 0 < take <= page_size
-            assert in_page + take <= page_size
-            position += take
-        assert position == offset + length
-
-    @given(
-        offset=st.integers(min_value=0, max_value=10_000),
-        length=st.integers(min_value=1, max_value=10_000),
-        page_size=st.integers(min_value=1, max_value=257),
-    )
-    def test_page_indices_strictly_increase(self, offset, length, page_size):
-        frags = pages_for_range("f", offset, length, page_size)
-        indices = [p.page_index for p, __, __ in frags]
-        assert indices == sorted(set(indices))
 
 
 class TestTimeSource:

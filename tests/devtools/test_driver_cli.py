@@ -114,7 +114,7 @@ class TestConfig:
         # the real-transport zone is an explicit allowlist entry, not a
         # per-line suppression (DESIGN.md §14)
         assert "src/repro/service/server.py" in rows["DET001"]["allow"]
-        assert "src/repro/tools/load_gen.py" in rows["DET001"]["allow"]
+        assert "src/repro/service/client.py" in rows["DET001"]["allow"]
         assert all(row["enabled"] for row in rows.values())
 
 

@@ -79,15 +79,6 @@ class TestMetadataCache:
         assert cache.get("x") == 1
         assert cache.hit_ratio == 0.5
 
-    def test_dict_protocol(self):
-        from repro.presto.metadata_cache import MetadataCache
-
-        cache = MetadataCache()
-        cache["k"] = "v"
-        assert cache["k"] == "v"
-        with pytest.raises(KeyError):
-            cache["missing"]
-
     def test_invalidate(self):
         from repro.presto.metadata_cache import MetadataCache
 

@@ -2,7 +2,7 @@
 
 Every test boots a :class:`CacheServer` on a loopback port picked by the
 OS, drives it with :class:`AsyncCacheClient`, and drains it -- the same
-path the CI ``service-smoke`` job exercises at larger scale.
+path perfbench's ``svc_*`` workloads exercise at larger scale.
 """
 
 import asyncio

@@ -10,11 +10,9 @@ MODULE_NAMES = [
     "repro.ports.concurrency",
     "repro.ports.rng",
     "repro.sim.kernel",
-    "repro.core.page",
     "repro.core.indexed_set",
     "repro.core.admission.rate_limiter",
     "repro.core.admission.shadow",
-    "repro.format.writer",
     "repro.analysis.report",
 ]
 

@@ -36,7 +36,6 @@ class TestEntryPoints:
             "repro-report",
             "repro-perf-viz",
             "repro-cache-server",
-            "repro-load-gen",
             "replint",
         ):
             assert script in entries, f"{script} missing from [project.scripts]"
@@ -50,4 +49,3 @@ class TestEntryPoints:
     def test_service_scripts_point_at_main(self):
         entries = load_script_entries()
         assert entries["repro-cache-server"] == ("repro.service.server", "main")
-        assert entries["repro-load-gen"] == ("repro.tools.load_gen", "main")

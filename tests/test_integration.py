@@ -1,19 +1,9 @@
 """Cross-layer integration tests: the full stacks a deployment would run."""
 
-import pytest
-
-from repro.core import CacheConfig, CacheScope, LocalCacheManager
+from repro.core import CacheConfig, CacheDirectory, CacheScope, LocalCacheManager
 from repro.core.admission import BucketTimeRateLimit
 from repro.core.pagestore import LocalFilePageStore
 from repro.distributed import CacheWorker, DistributedCacheClient
-from repro.format import (
-    ColumnarReader,
-    Predicate,
-    ScanStatistics,
-    Schema,
-    cache_range_reader,
-    write_table,
-)
 from repro.fuse import CachedFileSystem
 from repro.hdfs_cache import CachedDataNode
 from repro.ports.clock import SimClock
@@ -25,60 +15,55 @@ KIB = 1024
 MIB = 1024 * KIB
 
 
-class TestColumnarOverCacheOverObjectStore:
-    """The Presto data path of Figure 7: reader -> local cache -> S3."""
+class TestRangedReadsOverCacheOverObjectStore:
+    """The Presto data path of Figure 7: ranged reads -> local cache -> S3."""
+
+    PAGE = 32 * KIB
 
     def _setup(self, tmp_path):
-        schema = Schema.of(user_id="int64", amount="float64", city="string")
-        rows = [[i, i * 0.25, f"city{i % 7}"] for i in range(5_000)]
-        blob = write_table(schema, rows, rows_per_group=500)
+        blob = bytes((i * 7 + i // 251) % 256 for i in range(10 * self.PAGE + 123))
         store = ObjectStore()
         store.put_object("wh/orders/part-0.rpq", blob)
         source = ObjectStoreDataSource(store)
-        page_store = LocalFilePageStore([tmp_path], page_size=32 * KIB)
+        page_store = LocalFilePageStore([tmp_path], page_size=self.PAGE)
         cache = LocalCacheManager(
             CacheConfig(
-                page_size=32 * KIB,
-                directories=[
-                    __import__("repro.core.config", fromlist=["CacheDirectory"])
-                    .CacheDirectory(str(tmp_path), 8 * MIB)
-                ],
+                page_size=self.PAGE,
+                directories=[CacheDirectory(str(tmp_path), 8 * MIB)],
             ),
             page_store=page_store,
         )
         return blob, store, source, cache
 
-    def test_pushdown_scan_through_real_page_files(self, tmp_path):
+    def test_reads_through_real_page_files(self, tmp_path):
         blob, store, source, cache = self._setup(tmp_path)
         scope = CacheScope.for_partition("wh", "orders", "ds=0")
+        # 20 KiB reads: most start mid-page and end in the next one
+        ranges = [(offset, 20 * KIB) for offset in range(0, len(blob), 20 * KIB)]
 
         def scan():
-            stats = ScanStatistics()
-            reader = ColumnarReader(
-                cache_range_reader(
-                    cache, source, "wh/orders/part-0.rpq", stats, scope=scope
-                ),
-                len(blob),
-                stats=stats,
-            )
-            rows = reader.scan(
-                ["user_id", "amount"], predicate=Predicate("user_id", ">=", 4_500)
-            )
-            return rows, stats
+            results = [
+                cache.read("wh/orders/part-0.rpq", offset, length, source, scope=scope)
+                for offset, length in ranges
+            ]
+            return b"".join(r.data for r in results), results
 
-        cold_rows, cold_stats = scan()
-        assert [r["user_id"] for r in cold_rows] == list(range(4_500, 5_000))
-        assert cold_stats.row_groups_pruned == 9  # 9 of 10 groups excluded
+        cold, cold_results = scan()
+        assert cold == blob
+        assert sum(r.page_misses for r in cold_results) == 11  # each page once
 
         requests_before = store.request_count
-        warm_rows, warm_stats = scan()
-        assert warm_rows == cold_rows
-        assert warm_stats.latency < cold_stats.latency
+        warm, warm_results = scan()
+        assert warm == blob
+        assert all(r.fully_cached for r in warm_results)
         assert store.request_count == requests_before  # zero remote I/O warm
         # pages landed as real files in the Figure-4 layout
-        assert any(tmp_path.glob("page_size=32768/bucket=*/file=*/*"))
+        page_files = list(tmp_path.glob("page_size=32768/bucket=*/file=*/*"))
+        assert len(page_files) >= 11
         # and the partition scope can drop them in one call
-        assert cache.delete_scope(scope) > 0
+        assert cache.delete_scope(scope) == 11
+        assert cache.page_count == 0
+        assert not any(path.exists() for path in page_files)
 
 
 class TestHdfsEndToEnd:
