@@ -9,7 +9,8 @@ The paper's Presto evaluations compare two configurations:
 
 ``run_cold_vs_warm`` builds one cluster per configuration on the same
 catalog/source and returns per-query wall times plus the warm cluster's
-runtime stats.
+runtime stats.  ``WindowedHitRatio`` is the soaks' cluster hit ratio per
+window of virtual time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.presto import PrestoCluster
 from repro.presto.query import QueryProfile
+from repro.sim.kernel import Timeout
 from repro.workload.tpcds import build_tpcds_catalog_fast
 
 MIB = 1024 * 1024
@@ -109,3 +111,49 @@ def run_cold_vs_warm(queries: list[QueryProfile], **cluster_kwargs) -> ColdWarmR
         warm_cluster=warm_cluster,
         cold_cluster=cold_cluster,
     )
+
+
+class WindowedHitRatio:
+    """A cluster's cache hit ratio per fixed window of virtual time.
+
+    Spawn :meth:`monitor` on the cluster's kernel: it snapshots the
+    workers' cumulative ``get_hits``/``get_misses`` every ``window``
+    seconds up to ``horizon``.  :meth:`windows` turns the snapshots into
+    ``(window end, hit ratio)`` pairs; windows with no cache traffic (e.g.
+    after the last query completes) are dropped rather than reported as
+    zero.
+    """
+
+    def __init__(self, cluster: PrestoCluster, window: float, horizon: float) -> None:
+        self.cluster = cluster
+        self.window = window
+        self.horizon = horizon
+        self.snapshots: list[tuple[float, int, int]] = []
+
+    def sample(self) -> tuple[int, int]:
+        """Cumulative ``(hits, misses)`` over the workers present now."""
+        workers = list(self.cluster.workers.values())
+        hits = sum(w.metrics.counter("get_hits").value for w in workers)
+        misses = sum(w.metrics.counter("get_misses").value for w in workers)
+        return hits, misses
+
+    def monitor(self):
+        """Kernel process: one snapshot at the end of every window."""
+        clock = self.cluster.kernel.clock
+        elapsed = 0.0
+        while elapsed < self.horizon - 1e-9:
+            yield Timeout(self.window)
+            elapsed += self.window
+            hits, misses = self.sample()
+            self.snapshots.append((clock.now(), hits, misses))
+
+    def windows(self) -> list[tuple[float, float]]:
+        ratios: list[tuple[float, float]] = []
+        prev_hits = prev_misses = 0
+        for end, hits, misses in self.snapshots:
+            d_hits = hits - prev_hits
+            d_total = (hits + misses) - (prev_hits + prev_misses)
+            if d_total:
+                ratios.append((end, round(d_hits / d_total, 6)))
+            prev_hits, prev_misses = hits, misses
+        return ratios

@@ -41,6 +41,7 @@ import os
 
 import pytest
 from harness import emit_json, emit_report
+from presto_harness import WindowedHitRatio
 
 from repro.cluster import (
     AdmissionController,
@@ -57,7 +58,6 @@ from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
 from repro.presto.catalog import Catalog, build_table
 from repro.resilience.health import NodeHealthTracker
 from repro.ports.clock import SimClock
-from repro.sim.kernel import Timeout
 from repro.ports.rng import RngStream
 from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.remote import NullDataSource
@@ -223,24 +223,8 @@ def _run(
             **ADMISSION,
         )
 
-    # windowed cumulative (hits, misses) snapshots, sampled in virtual time
-    snapshots: list[tuple[float, int, int]] = []
-
-    def sample() -> tuple[int, int]:
-        workers = list(cluster.workers.values())
-        hits = sum(w.metrics.counter("get_hits").value for w in workers)
-        misses = sum(w.metrics.counter("get_misses").value for w in workers)
-        return hits, misses
-
-    def monitor():
-        elapsed = 0.0
-        while elapsed < SOAK_SECONDS - 1e-9:
-            yield Timeout(WINDOW)
-            elapsed += WINDOW
-            hits, misses = sample()
-            snapshots.append((clock.now(), hits, misses))
-
-    kernel.spawn(monitor(), name="hit-ratio-monitor")
+    hit_ratio = WindowedHitRatio(cluster, WINDOW, SOAK_SECONDS)
+    kernel.spawn(hit_ratio.monitor(), name="hit-ratio-monitor")
 
     arrivals = _build_arrivals(seed, max_queries)
     results = cluster.coordinator.run_concurrent_kernel(
@@ -249,24 +233,12 @@ def _run(
         admission=admission,
     )
 
-    # windowed hit ratios from snapshot deltas; windows with no cache
-    # traffic (e.g. after the last query completes) are dropped rather
-    # than reported as zero
-    windows: list[tuple[float, float]] = []
-    prev_hits = prev_misses = 0
-    for end, hits, misses in snapshots:
-        d_hits = hits - prev_hits
-        d_total = (hits + misses) - (prev_hits + prev_misses)
-        if d_total:
-            windows.append((end, round(d_hits / d_total, 6)))
-        prev_hits, prev_misses = hits, misses
-
     latency_samples = [
         (round(arrival + r.wall_seconds, 6), round(r.wall_seconds, 6))
         for (arrival, __), r in zip(arrivals, results)
         if not r.shed
     ]
-    hits, misses = sample()
+    hits, misses = hit_ratio.sample()
     page_requests = hits + misses
     return {
         "queries": len(results),
@@ -276,7 +248,7 @@ def _run(
         "final_hit_ratio": round(hits / page_requests, 6)
         if page_requests
         else 0.0,
-        "windows": windows,
+        "windows": hit_ratio.windows(),
         "latency_samples": latency_samples,
         "membership_events": list(cluster.membership.events),
         "membership_states": cluster.membership.states(),

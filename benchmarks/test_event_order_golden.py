@@ -4,11 +4,11 @@ The two-lane kernel (DESIGN.md §13) split same-instant resumes off the
 timer heap onto a FIFO ready deque.  Its hard constraint was that the
 split changes *nothing* observable: every event still fires in exact
 ``(time, seq)`` order.  ``golden_event_order.json`` pins the
-:class:`~repro.sim.sanitizer.EventTrace` rolling hashes of the quick
-chaos soak and the quick churn soak as captured on the single-heap
-scheduler immediately before the two-lane change landed; this module
-replays both scenarios through :class:`DeterminismHarness` and demands
-the identical hash and event count.
+:class:`~repro.sim.sanitizer.EventTrace` rolling hash of the quick churn
+soak as captured on the single-heap scheduler immediately before the
+two-lane change landed; this module replays the scenario through
+:class:`DeterminismHarness` and demands the identical hash and event
+count.
 
 Unlike the per-PR sanitizer gates (which only prove a *double run* of
 today's kernel agrees with itself), these fixtures prove today's kernel
@@ -16,9 +16,17 @@ agrees with the kernel of record -- a scheduler reordering that is
 internally deterministic but differently ordered fails here and nowhere
 else.
 
-The scenarios pin every knob explicitly (seed, request counts, churn
+The scenarios pin every knob explicitly (seed, query counts, churn
 arrival rates), so the hashes are independent of the ``*_SOAK_QUICK``
 environment switches.
+
+``chaos_quick`` pins the chaos soak's determinism trail
+(``test_chaos_soak.sanitizer_scenario``): each query's completion instant,
+the kill/revive and breaker trails, and, as ``facts``, the kernel event
+count and the hedge, wasted-byte, failover, retry and trip counts.  It was
+re-pinned when the soak moved from the analytic distributed tier onto the
+Presto cluster's kernel; re-record with
+``... test_event_order_golden.py chaos_quick``.
 
 ``presto_tpcds_kernel`` pins the simulated I/O path (DESIGN.md §16): the
 99 TPC-DS query profiles, in a seed-permuted arrival order, through
@@ -244,6 +252,16 @@ def _presto_tracer() -> SimTracer:
     )
 
 
+CHAOS_SEED = chaos_soak.SEED
+CHAOS_QUERIES = 480
+
+
+def chaos_report(seed: int, n_queries: int):
+    return DeterminismHarness(
+        lambda trace: chaos_soak.sanitizer_scenario(trace, seed, n_queries)
+    ).check()
+
+
 def presto_report(traced: bool):
     return DeterminismHarness(
         lambda trace: run_presto_tpcds_kernel(trace, PRESTO_SEED),
@@ -273,27 +291,14 @@ def _assert_matches(report, spec):
 
 @pytest.mark.determinism
 class TestGoldenEventOrder:
-    def test_chaos_quick_soak_matches_pinned_hash(self):
+    def test_chaos_quick_soak_matches_pinned_facts(self):
         spec = GOLDEN["scenarios"]["chaos_quick"]
-
-        def scenario(trace):
-            result = chaos_soak.run_soak(
-                spec["seed"], n_requests=spec["n_requests"]
-            )
-            trace.record_all(result["chaos_events"])
-            trace.record_all(result["breaker_events"])
-            trace.record(
-                "soak-summary", chaos_soak.SOAK_SECONDS, "tier",
-                detail=(
-                    f"hit={result['final_hit_ratio']}"
-                    f"|errors={result['errors']}"
-                    f"|latency={result['latency_sum']}"
-                    f"|failovers={result['failovers']}"
-                ),
-            )
-            return result["counters"]
-
-        _assert_matches(DeterminismHarness(scenario).check(), spec)
+        report = chaos_report(spec["seed"], spec["n_queries"])
+        _assert_matches(report, spec)
+        facts = report.result_first
+        for key, pinned in spec["facts"].items():
+            assert facts[key] == pinned, f"chaos_quick: {key} moved: {_REPIN_HINT}"
+        assert facts.keys() == spec["facts"].keys()
 
     def test_churn_quick_soak_matches_pinned_hash(self, monkeypatch):
         spec = GOLDEN["scenarios"]["churn_quick"]
@@ -368,6 +373,16 @@ if __name__ == "__main__":
             spec = GOLDEN["scenarios"][name]
             spec["facts"] = facts
             spec["cold_cache_on_rerecorded"]["rows"] = facts["cache_on"][0]["rows"]
+            continue
+        if name == "chaos_quick":
+            report = chaos_report(CHAOS_SEED, CHAOS_QUERIES)
+            GOLDEN["scenarios"][name] = {
+                "seed": CHAOS_SEED,
+                "n_queries": CHAOS_QUERIES,
+                "events": report.events_first,
+                "rolling_hash": report.hash_first,
+                "facts": report.result_first,
+            }
             continue
         if name == "hdfs_fig14_quick":
             GOLDEN["scenarios"][name] = {

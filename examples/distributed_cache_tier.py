@@ -1,80 +1,118 @@
 #!/usr/bin/env python3
-"""The distributed cache tier (Figure 6's middle layer).
+"""Soft-affinity failover across a Presto cluster's local caches (Section 7).
 
-A fleet of cache workers fronts remote storage; clients route reads via
-consistent hashing with at most two replicas (Section 7) and fall back to
-remote storage when both are unavailable.  Worker restarts exercise the
-"lazy data movement" behaviour: seats are kept for a timeout window, so a
-node that returns in time gets its keys -- and its warm cache -- back.
+Every file has a primary and a secondary worker on the consistent-hash
+ring (at most two cache replicas).  A crashed worker keeps its ring seat
+for the offline timeout, so its splits run on the secondary meanwhile;
+if it comes back in time its keys -- and its still-warm cache -- map
+straight back ("lazy data movement").  With both replicas down the split
+runs on another worker with the cache bypassed, reading remote storage:
+the final fallback.
 
 Run:  python examples/distributed_cache_tier.py
 """
 
-from repro.distributed import CacheWorker, DistributedCacheClient
-from repro.ports.clock import SimClock
+import itertools
+
+from repro.cluster import ClusterLifecycle
+from repro.core.config import MIB
+from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
+from repro.presto.catalog import Catalog, build_table
 from repro.storage import ObjectStore, ObjectStoreDataSource
 
 KIB = 1024
-MIB = 1024 * KIB
+N_FILES = 12
+FILE_SIZE = 2 * MIB
+PAGE_SIZE = 256 * KIB
+
+
+def file_query(index: int, file_number: int) -> QueryProfile:
+    """Scan one 256 KiB column chunk of file ``file_number``."""
+    return QueryProfile(
+        query_id=f"q{index:03d}",
+        scans=(TableScan(
+            "lake.events",
+            partition_fraction=1 / N_FILES,
+            profile=ScanProfile(columns_read=1, row_group_selectivity=1.0),
+            partition_offset=file_number,
+        ),),
+        compute_seconds=0.0,
+    )
 
 
 def main() -> None:
-    clock = SimClock()
-
-    # remote data lake
+    # remote data lake: one 2 MiB file per partition, 8 column chunks each
+    table = build_table("lake", "events", n_partitions=N_FILES,
+                        files_per_partition=1, file_size=FILE_SIZE,
+                        n_columns=FILE_SIZE // PAGE_SIZE, n_row_groups=1)
     store = ObjectStore()
-    for n in range(12):
-        store.put_object(f"lake/events/part-{n:02d}", bytes([n]) * (2 * MIB))
-    source = ObjectStoreDataSource(store)
+    for n, (__, data_file) in enumerate(table.all_files()):
+        store.put_object(data_file.file_id, bytes([n]) * FILE_SIZE)
+    catalog = Catalog()
+    catalog.add_table(table)
+    files = [data_file.file_id for __, data_file in table.all_files()]
 
-    # the cache tier: four workers, each embedding the local cache
-    workers = [
-        CacheWorker(f"cache-worker-{i}", source,
-                    cache_capacity_bytes=16 * MIB, page_size=512 * KIB,
-                    clock=clock)
-        for i in range(4)
-    ]
-    client = DistributedCacheClient(workers, source, max_replicas=2,
-                                    offline_timeout=600.0, clock=clock)
+    # four workers, each embedding the local cache; ring seats are kept
+    # for 600 s after a crash
+    cluster = PrestoCluster.create(
+        catalog, ObjectStoreDataSource(store), n_workers=4,
+        cache_capacity_bytes=16 * MIB, page_size=PAGE_SIZE,
+        target_split_size=FILE_SIZE, max_replicas=2, offline_timeout=600.0,
+    )
+    kernel = cluster.kernel
+    lifecycle = ClusterLifecycle(cluster, kernel=kernel)
+    queries = itertools.count()
 
-    # 1. warm the tier
-    print("warming the tier with two passes over 12 objects...")
+    def scan(file_number: int):
+        """Run one query now; report which worker ran its split."""
+        before = {name: w.splits_executed for name, w in cluster.workers.items()}
+        result = cluster.coordinator.run_query(
+            file_query(next(queries), file_number)
+        )
+        ran_on = [name for name, w in cluster.workers.items()
+                  if w.splits_executed > before.get(name, 0)]
+        return result.stats, ran_on[0]
+
+    # 1. warm the cache
+    print(f"warming the cache with two passes over {N_FILES} files...")
     for __ in range(2):
-        for n in range(12):
-            client.read(f"lake/events/part-{n:02d}", 0, 256 * KIB)
-    print(f"  tier hit ratio: {client.tier_hit_ratio():.2f}, "
-          f"cached bytes: {client.cached_bytes() // MIB} MiB")
-    for worker in workers:
-        print(f"  {worker.name}: served {worker.requests_served:3d} requests, "
-              f"hit ratio {worker.hit_ratio:.2f}")
+        for n in range(N_FILES):
+            scan(n)
+    print(f"  cluster hit ratio: {cluster.coordinator.cluster_hit_ratio():.2f}")
+    for name, worker in cluster.workers.items():
+        print(f"  {name}: ran {worker.splits_executed:2d} splits, "
+              f"hit ratio {worker.cache_hit_ratio:.2f}, "
+              f"{worker.cache_usage_bytes() // KIB} KiB cached")
 
-    # 2. a worker fails; traffic fails over to the secondary replica
-    victim = client.ring.candidates("lake/events/part-00", 1)[0]
-    print(f"\nfailing {victim} ...")
-    client.worker(victim).fail()
-    result = client.read("lake/events/part-00", 0, 64 * KIB)
-    print(f"  read served anyway ({len(result.data)} B), "
-          f"failovers={client.failovers}, remote_fallbacks="
-          f"{client.remote_fallbacks}")
+    # 2. the primary of part 0 fails; its split goes to the secondary replica
+    primary, secondary = cluster.ring.candidates(files[0], 2)
+    print(f"\ncrashing {primary} (primary of part 0) ...")
+    lifecycle.crash(primary)
+    stats, ran_on = scan(0)
+    print(f"  split ran on {ran_on} (the secondary is {secondary}), "
+          f"{stats.page_misses} page miss(es) warming it")
 
-    # 3. lazy data movement: the node returns within the timeout and its
+    # 3. lazy data movement: back within the offline timeout, the node's
     #    keys map straight back to its still-warm cache
-    clock.advance(120.0)
-    client.notify_recovered(victim)
-    before = client.worker(victim).requests_served
-    client.read("lake/events/part-00", 0, 64 * KIB)
-    print(f"\n{victim} recovered within the timeout:")
-    print(f"  it serves its keys again "
-          f"(requests {before} -> {client.worker(victim).requests_served}), "
-          f"cache still warm (hit ratio {client.worker(victim).hit_ratio:.2f})")
+    kernel.run_until(kernel.clock.now() + 120.0)
+    assert lifecycle.expire_tick() == []  # seat kept: 120 s < 600 s
+    lifecycle.restart(primary)
+    stats, ran_on = scan(0)
+    print(f"\n{primary} restarted 120 s later, inside the timeout:")
+    print(f"  split ran on {ran_on} again, "
+          f"{stats.page_hits} page hit(s) from its still-warm cache")
 
-    # 4. remote fallback when an entire replica set is down
-    primary, secondary = client.ring.candidates("lake/events/part-05", 2)
-    client.worker(primary).fail()
-    client.worker(secondary).fail()
-    result = client.read("lake/events/part-05", 0, 64 * KIB)
-    print(f"\nboth replicas of part-05 down: read fell back to remote "
-          f"storage (remote_fallbacks={client.remote_fallbacks})")
+    # 4. both replicas of part 5 die at once, before membership hears of
+    #    it (their ring seats still stand): remote storage is the final
+    #    fallback
+    primary, secondary = cluster.ring.candidates(files[5], 2)
+    cluster.workers[primary].fail()
+    cluster.workers[secondary].fail()
+    stats, ran_on = scan(5)
+    print(f"\nboth replicas of part 5 ({primary}, {secondary}) down: the split "
+          f"ran on {ran_on} with the cache bypassed "
+          f"({stats.cache_bypassed_splits} bypassed split, "
+          f"{stats.bytes_from_remote // KIB} KiB from remote storage)")
 
 
 if __name__ == "__main__":

@@ -36,9 +36,9 @@ from repro.devtools.rules import Rule
 _PROJECT_ROOT_PACKAGE = "repro"
 
 _DOMAIN_PACKAGES = (
-    "repro.analysis", "repro.cluster", "repro.core", "repro.distributed",
-    "repro.fuse", "repro.hdfs_cache", "repro.presto", "repro.resilience",
-    "repro.service", "repro.storage", "repro.tools", "repro.workload",
+    "repro.analysis", "repro.cluster", "repro.core", "repro.fuse",
+    "repro.hdfs_cache", "repro.presto", "repro.resilience", "repro.service",
+    "repro.storage", "repro.tools", "repro.workload",
 )
 
 

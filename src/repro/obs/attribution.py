@@ -8,13 +8,10 @@ to the result, so summing charges over the tree (minus hedge-attempt
 subtrees, whose cost is not on the serving path) reconstructs the
 request's wall time bucket by bucket.
 
-Reconciliation invariant: for an unhedged trace the bucket sums equal the
-measured virtual latency exactly (same float additions, same order).  A
-client-level hedge *replaces* the primary latency with
-``min(primary, threshold + backup)`` after the primary's charges were
-recorded, so those traces are proportionally rescaled to the effective
-latency and flagged ``rescaled`` -- the mix is the primary's, the total is
-the measured one.
+Reconciliation invariant: the bucket sums equal the measured virtual
+latency.  A hedged read needs no correction: its race runs on the event
+kernel, the losing copy is cancelled where it stands and charges only the
+time it actually ran, and the backup's subtree is off the serving path.
 """
 
 from __future__ import annotations
@@ -24,8 +21,9 @@ from dataclasses import dataclass, field
 
 from repro.obs.span import ATTRIBUTION_BUCKETS, Span
 
-# Root-span attr naming the measured wall time (seconds).  The distributed
-# client annotates ``latency``; the coordinator annotates ``wall``.
+# Root-span attr naming the measured wall time (seconds).  Cache reads and
+# the cached DataNode annotate ``latency``; the coordinator annotates
+# ``wall``.
 _WALL_ATTRS = ("latency", "wall")
 
 # Spans flagged with these attrs (and their subtrees) are work whose cost
@@ -49,7 +47,6 @@ class TraceAttribution:
     root_name: str
     wall: float
     buckets: dict[str, float] = field(default_factory=dict)
-    rescaled: bool = False
     span_count: int = 0
 
     @property
@@ -112,19 +109,11 @@ def attribute_trace(spans: list[Span]) -> TraceAttribution:
     if wall is None:
         wall = sum(buckets.values())
 
-    rescaled = False
-    charged = sum(buckets.values())
-    if root.attrs.get("rescale") and charged > 0.0 and wall >= 0.0:
-        scale = wall / charged
-        buckets = {k: v * scale for k, v in buckets.items()}
-        rescaled = True
-
     return TraceAttribution(
         trace_id=root.trace_id,
         root_name=root.name,
         wall=wall,
         buckets=buckets,
-        rescaled=rescaled,
         span_count=span_count,
     )
 
@@ -166,9 +155,6 @@ def format_attribution(reports: list[TraceAttribution], *, top: int = 0) -> str:
         seconds = totals[bucket]
         share = 100.0 * seconds / charged_total if charged_total else 0.0
         lines.append(f"  {bucket:<{width}}  {seconds:12.6f}s  {share:6.2f}%")
-    rescaled = sum(1 for r in reports if r.rescaled)
-    if rescaled:
-        lines.append(f"  ({rescaled} hedged trace(s) proportionally rescaled)")
     if top > 0:
         slowest = sorted(reports, key=lambda r: (-r.wall, r.trace_id))[:top]
         lines.append("")

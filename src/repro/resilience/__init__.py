@@ -13,7 +13,7 @@ first-class, testable property of every remote-read path:
   percentile threshold (the "lazy data movement" companion for
   slow-but-alive nodes);
 - :mod:`~repro.resilience.health` -- per-node health feeding the Presto
-  soft-affinity scheduler and the distributed-tier failover;
+  soft-affinity scheduler and the coordinator's split failover;
 - :mod:`~repro.resilience.injector` -- cluster-level chaos: crash/revive
   nodes, delay/fail/corrupt remote requests, partition nodes from the ring;
 - :mod:`~repro.resilience.source` -- a ``DataSource`` wrapper applying

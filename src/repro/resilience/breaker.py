@@ -188,8 +188,8 @@ class CircuitBreaker:
 class BreakerBoard:
     """A registry of per-target breakers sharing configuration and sinks.
 
-    The distributed client, the DFS client, and the health tracker all key
-    breakers by node name through one board, so a trip observed on the read
+    The DFS client and the health tracker key breakers by node name
+    through one board, so a trip observed on the read
     path is immediately visible to the scheduler.
     """
 

@@ -3,7 +3,7 @@
 The tracker is a thin coordination layer over a shared
 :class:`~repro.resilience.breaker.BreakerBoard`: the read path records
 successes/failures per node, and placement logic (the Presto soft-affinity
-scheduler, the distributed-tier client) asks ``is_available`` *before*
+scheduler and coordinator, the DFS client) asks ``is_available`` *before*
 routing work -- so open-breaker nodes are skipped instead of timed out on,
 the exact behaviour the paper's node-timeout lesson is after.
 """

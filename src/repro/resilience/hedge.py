@@ -3,31 +3,32 @@
 The consistent-hashing lesson of Section 7 handles nodes that are *dead*;
 hedging handles nodes that are *slow but alive* (a stalled SSD, a deep
 device queue).  The policy tracks recent request latencies and derives a
-percentile threshold; when a primary read's modelled latency exceeds the
-threshold, a backup request is launched on the sim clock at the threshold
-instant, and the request completes at::
+percentile threshold.  The race itself runs on the event kernel
+(``ResilientDataSource._hedged_replay``): a primary still running at the
+threshold instant gets a backup, the first to finish serves the read and
+the other is cancelled mid-transfer.  At zero contention the read
+therefore completes at::
 
     min(primary_latency, threshold + backup_latency)
 
-which is exactly the tail-at-scale hedging formula under a virtual clock.
+the tail-at-scale hedging formula, experienced rather than computed.
 Counters: ``hedged_requests`` (backups launched), ``hedge_wins`` (backup
-finished first), and ``hedge_errors`` (backup attempts that failed; the
-primary result stood).
+finished first), ``hedge_errors`` (backup attempts that failed; the
+primary result stood) and ``hedge_wasted_bytes`` (moved by cancelled
+losers).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 import numpy as np
 
 from repro.core.metrics import MetricsRegistry
-from repro.errors import ReproError
 
 
 class HedgePolicy:
-    """Latency-percentile hedging decision + completion-time arithmetic.
+    """Latency-percentile hedging decision and race accounting.
 
     Args:
         threshold_percentile: hedge when the primary exceeds this percentile
@@ -63,8 +64,7 @@ class HedgePolicy:
         self.hedged_requests = 0
         self.hedge_wins = 0
         self.hedge_errors = 0
-        # bytes actually moved by cancelled hedge losers (kernel mode
-        # measures the partial transfer; the analytic engine cannot)
+        # bytes actually moved by cancelled hedge losers
         self.wasted_bytes = 0
 
     def record_cancelled(self, nbytes: int) -> None:
@@ -93,45 +93,3 @@ class HedgePolicy:
         return float(
             np.percentile(np.asarray(self._history), self.threshold_percentile)
         )
-
-    def should_hedge(self, primary_latency: float) -> bool:
-        threshold = self.threshold()
-        return threshold is not None and primary_latency > threshold
-
-    # -- completion arithmetic -----------------------------------------------
-
-    def apply(
-        self, primary_latency: float, backup: Callable[[], float]
-    ) -> tuple[float, bool, bool]:
-        """Resolve one read: returns ``(effective_latency, hedged, won)``.
-
-        ``backup`` is invoked only when hedging triggers; it returns the
-        backup request's modelled latency (or raises one of the modelled
-        failure types, in which case the primary result stands and the
-        failure is accounted under ``hedge_errors``).  The effective
-        latency is the virtual time at which the *first* of the two copies
-        completes.
-        """
-        threshold = self.threshold()
-        if threshold is None or primary_latency <= threshold:
-            self.observe(primary_latency)
-            return primary_latency, False, False
-        self.hedged_requests += 1
-        self.metrics.counter("hedged_requests").inc()
-        try:
-            backup_latency = backup()
-        except (ReproError, ConnectionError, TimeoutError) as exc:
-            # backup target failed; the slow primary still serves the read,
-            # and the degraded hedge is accounted (ERR001: no silent swallow)
-            self.hedge_errors += 1
-            self.metrics.counter("hedge_errors").inc()
-            self.metrics.record_error("hedge_backup", exc)
-            self.observe(primary_latency)
-            return primary_latency, True, False
-        effective = min(primary_latency, threshold + backup_latency)
-        won = threshold + backup_latency < primary_latency
-        if won:
-            self.hedge_wins += 1
-            self.metrics.counter("hedge_wins").inc()
-        self.observe(effective)
-        return effective, True, won

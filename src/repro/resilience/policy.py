@@ -26,9 +26,11 @@ class RetryPolicy:
         jitter: fraction of each delay randomized uniformly in
             ``[-jitter, +jitter]`` (0 disables jitter; draws come from the
             caller-supplied stream, keeping schedules deterministic).
-        attempt_timeout: per-attempt latency deadline, seconds.  An attempt
-            whose modelled latency exceeds it is abandoned at the deadline
-            and retried; ``None`` waits attempts out however long they take.
+        attempt_timeout: per-attempt deadline, seconds.  Inside a kernel
+            an attempt still running at the deadline is cancelled there and
+            retried; ``None`` waits attempts out however long they take.
+            Outside a kernel nothing can be cancelled, and
+            ``ResilientDataSource.read`` refuses a deadline.
     """
 
     max_attempts: int = 3

@@ -8,11 +8,16 @@ unreliable backend (object store, synthetic lake, DFS).  Per request it:
    nothing behind it) the request is still attempted rather than rejected;
 2. attempts the read under the retry policy: transient failures
    (:class:`~repro.errors.RemoteReadError`, ``ConnectionError``) back off
-   exponentially with deterministic jitter, charged as virtual latency;
-   an attempt whose modelled latency exceeds the per-attempt deadline is
-   abandoned at the deadline and retried;
-3. optionally hedges the winning attempt through a
-   :class:`~repro.resilience.hedge.HedgePolicy`.
+   exponentially with deterministic jitter;
+3. inside a kernel process (:meth:`ResilientDataSource.read_proc`, or any
+   read under IO collection), lives the winning attempt: raced against the
+   per-attempt deadline and cancelled there, or raced against a
+   :class:`~repro.resilience.hedge.HedgePolicy` backup whose loser is
+   cancelled mid-transfer.
+
+Outside a kernel nothing can be raced, so a plain :meth:`read` does retry
+and breaker only, with backoff charged as latency; it refuses a hedge or an
+``attempt_timeout`` rather than report a latency nobody waited for.
 
 ``FileNotFoundInStorageError`` is permanent and never retried.  All
 outcomes are observable: ``retries`` / ``retry_exhausted`` /
@@ -22,7 +27,7 @@ outcomes are observable: ``retries`` / ``retry_exhausted`` /
 from __future__ import annotations
 
 from repro.core.metrics import MetricsRegistry
-from repro.errors import RemoteReadError, RetriesExhaustedError
+from repro.errors import RemoteReadError, ReproError, RetriesExhaustedError
 from repro.obs.tracer import current_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.hedge import HedgePolicy
@@ -41,6 +46,9 @@ from repro.ports.rng import RngStream
 from repro.storage.remote import DataSource, ReadResult
 
 _RETRYABLE = (RemoteReadError, ConnectionError)
+# a hedge backup failing with one of these leaves the primary to serve the
+# read; anything else is a bug and propagates
+_HEDGE_ABSORBED = (ReproError, ConnectionError, TimeoutError)
 
 
 class ResilientDataSource:
@@ -74,92 +82,25 @@ class ResilientDataSource:
         return self.inner.file_length(file_id)
 
     def read(self, file_id: str, offset: int, length: int) -> ReadResult:
-        if io_collection_active():
-            return self._read_collected(file_id, offset, length)
-        policy = self.policy
-        span = current_tracer().current()
-        breaker_open = self.breaker is not None and not self.breaker.allow()
-        if breaker_open:
-            span.event("breaker_open", operation=self.operation)
-        extra_latency = 0.0
-        self.last_retry_backoff = 0.0
-        self.last_queue_wait = 0.0
-        last_exc: Exception | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                result = self.inner.read(file_id, offset, length)
-            except _RETRYABLE as exc:
-                last_exc = exc
-                self.metrics.record_error(self.operation, exc)
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                if attempt < policy.max_attempts:
-                    self.metrics.counter("retries").inc()
-                    extra_latency += policy.backoff(attempt, self.rng)
-                    span.event(
-                        "retry", attempt=attempt, error=type(exc).__name__
-                    )
-                continue
-            if (
-                policy.attempt_timeout is not None
-                and result.latency > policy.attempt_timeout
-                and attempt < policy.max_attempts
-            ):
-                # the attempt ran past its deadline: abandon it there and
-                # retry (the abandoned attempt cost exactly the deadline)
-                self.metrics.record_error(self.operation, "AttemptDeadlineExceeded")
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                self.metrics.counter("retries").inc()
-                extra_latency += policy.attempt_timeout + policy.backoff(
-                    attempt, self.rng
-                )
-                span.event("retry", attempt=attempt, error="AttemptDeadlineExceeded")
-                continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            latency = result.latency
-            if self.hedge is not None:
-                latency, hedged, hedge_won = self.hedge.apply(
-                    latency,
-                    lambda: self._hedged_backup(file_id, offset, length),
-                )
-                if hedged:
-                    span.event("hedge", won=hedge_won)
-            if attempt > 1 or breaker_open:
-                self.metrics.counter("degraded_serves").inc()
-            self.last_retry_backoff = extra_latency
-            self.last_queue_wait = getattr(self.inner, "last_queue_wait", 0.0)
-            return ReadResult(data=result.data, latency=extra_latency + latency)
-        self.metrics.counter("retry_exhausted").inc()
-        span.event("retries_exhausted", attempts=policy.max_attempts)
-        raise RetriesExhaustedError(
-            f"{self.operation} of {file_id!r} failed after "
-            f"{policy.max_attempts} attempts"
-        ) from last_exc
+        """One read under the retry policy.
 
-    def _hedged_backup(self, file_id: str, offset: int, length: int) -> float:
-        """Backup attempt for the hedge policy, traced as speculative work.
-
-        The ``hedge_attempt`` attr excludes the subtree from latency
-        attribution -- only ``min(primary, threshold + backup)`` lands on
-        the serving path.
+        Under IO collection the loop runs *synchronously* at the arrival
+        instant (chaos dice, breaker state and counters resolve now and the
+        returned data is final) but the time cost is deferred: one
+        composite replay op re-experiences failed attempts' IO, sleeps the
+        backoffs on kernel timers, and runs the winning attempt as a real
+        process (see :meth:`_resilient_op`).  Without collection the
+        backoffs are charged as latency.
         """
-        tracer = current_tracer()
-        with tracer.span("hedge_attempt", actor=self.operation, hedge_attempt=True):
-            return self.inner.read(file_id, offset, length).latency
-
-    # -- kernel mode ---------------------------------------------------------
-    #
-    # Under IO collection the retry loop still runs *synchronously* at the
-    # arrival instant (so chaos dice, breaker state, and counters resolve
-    # exactly as in analytic mode and the returned data is final), but the
-    # time cost is deferred: one composite replay op re-experiences failed
-    # attempts, sleeps backoffs on kernel timers, and runs the winning
-    # attempt as a real process -- optionally racing a hedge backup that is
-    # cancelled mid-flight when it loses.
-
-    def _read_collected(self, file_id: str, offset: int, length: int) -> ReadResult:
+        collected = io_collection_active()
+        if not collected and (
+            self.hedge is not None or self.policy.attempt_timeout is not None
+        ):
+            raise ValueError(
+                "a hedge or attempt_timeout needs a kernel to race the "
+                "attempt against: read inside a kernel process with "
+                "ResilientDataSource.read_proc"
+            )
         policy = self.policy
         span = current_tracer().current()
         breaker_open = self.breaker is not None and not self.breaker.allow()
@@ -167,12 +108,16 @@ class ResilientDataSource:
             span.event("breaker_open", operation=self.operation)
         self.last_retry_backoff = 0.0
         self.last_queue_wait = 0.0
+        backoff_total = 0.0
         failed: list[tuple[list, float]] = []
         last_exc: Exception | None = None
         for attempt in range(1, policy.max_attempts + 1):
             subplan: list = []
             try:
-                with collecting_io(subplan):
+                if collected:
+                    with collecting_io(subplan):
+                        result = self.inner.read(file_id, offset, length)
+                else:
                     result = self.inner.read(file_id, offset, length)
             except _RETRYABLE as exc:
                 last_exc = exc
@@ -185,22 +130,36 @@ class ResilientDataSource:
                     span.event(
                         "retry", attempt=attempt, error=type(exc).__name__
                     )
+                    # a collected read replays the failed attempt's partial
+                    # IO (ops deferred before the failure raised) and then
+                    # sleeps its backoff; a plain read charges the backoff
                     failed.append((subplan, backoff))
+                    backoff_total += backoff
                 continue
             if self.breaker is not None:
                 self.breaker.record_success()
             if attempt > 1 or breaker_open:
                 self.metrics.counter("degraded_serves").inc()
-            defer_io(
-                self._resilient_op(file_id, offset, length, failed, subplan, attempt)
+            if collected:
+                defer_io(
+                    self._resilient_op(
+                        file_id, offset, length, failed, subplan, attempt
+                    )
+                )
+                return ReadResult(data=result.data, latency=0.0)
+            self.last_retry_backoff = backoff_total
+            self.last_queue_wait = getattr(self.inner, "last_queue_wait", 0.0)
+            return ReadResult(
+                data=result.data, latency=backoff_total + result.latency
             )
-            return ReadResult(data=result.data, latency=0.0)
         self.metrics.counter("retry_exhausted").inc()
         span.event("retries_exhausted", attempts=policy.max_attempts)
         raise RetriesExhaustedError(
             f"{self.operation} of {file_id!r} failed after "
             f"{policy.max_attempts} attempts"
         ) from last_exc
+
+    # -- kernel mode ---------------------------------------------------------
 
     def _resilient_op(
         self,
@@ -218,7 +177,6 @@ class ResilientDataSource:
             span = current_tracer().current()
             clock = current_kernel().clock
             start = clock.now()
-            backoff_total = 0.0
             for subplan, backoff in failed:
                 # a failed attempt's partial IO (ops deferred before the
                 # failure raised) is real wasted time on the serving path
@@ -226,7 +184,6 @@ class ResilientDataSource:
                 if backoff > 0:
                     yield Timeout(backoff)
                     span.charge("retry_backoff", backoff)
-                    backoff_total += backoff
             if self.hedge is not None:
                 yield from self._hedged_replay(
                     file_id, offset, length, winner_plan, span
@@ -256,10 +213,9 @@ class ResilientDataSource:
     ):
         """Replay the winning attempt under the per-attempt deadline.
 
-        The analytic engine compares a *derived* latency against the
-        deadline; here the attempt runs as a process raced against a
-        kernel timer and is cancelled mid-flight on expiry, after which a
-        fresh attempt is collected at the current instant and retried.
+        The attempt runs as a process raced against a kernel timer and is
+        cancelled mid-flight on expiry, after which a fresh attempt is
+        collected at the current instant and retried.
         If a replay-time re-attempt fails (fresh chaos dice) or attempts
         run out, the original winning plan is replayed uncapped -- the
         caller already holds its data.
@@ -366,6 +322,9 @@ class ResilientDataSource:
             )
             yield any_of(primary, backup)
             if backup.done and backup.exception is not None and not backup.cancelled:
+                if not isinstance(backup.exception, _HEDGE_ABSORBED):
+                    primary.cancel("hedge backup raised")
+                    raise backup.exception
                 # backup target failed; the slow primary still serves the read
                 hedge.hedge_errors += 1
                 hedge.metrics.counter("hedge_errors").inc()

@@ -11,9 +11,10 @@ Three layers, innermost first:
   :class:`~repro.storage.remote.DataSource` facade running the pool on a
   private background event loop.  It raises ``ConnectionError`` /
   ``RemoteReadError`` on transport trouble, exactly the retryable set of
-  :class:`~repro.resilience.source.ResilientDataSource` -- so the PR 1
-  retry / hedge / circuit-breaker wrappers compose unchanged over real
-  sockets.
+  :class:`~repro.resilience.source.ResilientDataSource` -- so its retry
+  and circuit breaker compose unchanged over real sockets.  Its hedge and
+  per-attempt deadline race attempts on the event kernel and do not apply
+  here; the facade's own ``timeout`` is the real per-call deadline.
 
 This module is part of the sanctioned real-time zone (DET001/KRN004
 allowlist): latencies reported by the facade are measured wall time, not
@@ -248,7 +249,9 @@ class RemoteCacheDataSource:
     The facade owns a private event loop on a daemon thread; every call
     round-trips through it.  ``read`` reports *measured* wall latency --
     callers composing :class:`~repro.resilience.source.ResilientDataSource`
-    over this source get real retry/hedge behaviour against real sockets.
+    over this source get real retries and a real circuit breaker against
+    real sockets; a call that outlives ``timeout`` raises a retryable
+    ``RemoteReadError``.
     """
 
     def __init__(

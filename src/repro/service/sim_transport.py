@@ -10,9 +10,8 @@ core and ``repro.sim`` are allowed to meet.
 Two things live here:
 
 - :func:`build_sim_cache` / :func:`build_sim_engine` -- the construction
-  path every simulation caller (Presto workers, the distributed cache
-  tier, the cached DataNode, ``repro-cachesim``) uses to stand the core
-  up in virtual time.  Keeping construction in one place is what makes
+  path every simulation caller (Presto workers, the cached DataNode,
+  ``repro-cachesim``) uses to stand the core up in virtual time.  Keeping construction in one place is what makes
   the core's transport-agnosticism auditable.
 - :class:`SimTransport` -- a closed-loop driver that replays a request
   sequence through the engine under the kernel with N concurrent client

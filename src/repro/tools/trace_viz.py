@@ -7,8 +7,8 @@ Three subcommands over the span JSONL format written by
   the output in https://ui.perfetto.dev or ``chrome://tracing``.
 - ``report`` -- per-trace latency attribution (bucket table, coverage,
   slowest traces) plus the critical path of the slowest trace.
-- ``demo`` -- run a small self-contained traced scenario (a distributed
-  cache tier serving a Zipf workload off an object store) and write
+- ``demo`` -- run a small self-contained traced scenario (a 3-worker
+  Presto cluster serving a Zipf workload off an object store) and write
   ``spans.jsonl``, ``trace.json``, and ``attribution.txt`` into a
   directory -- the quickest way to see the whole pipeline end to end.
 
@@ -41,7 +41,6 @@ from repro.obs import (
 )
 from repro.obs.span import Span
 from repro.ports.clock import SimClock
-from repro.sim.kernel import Kernel
 from repro.ports.rng import RngStream
 
 
@@ -74,9 +73,14 @@ def render_report(spans: list[Span], *, top: int = 3) -> str:
 def run_demo_scenario(
     seed: int = 7, n_requests: int = 64
 ) -> tuple[SimTracer, dict]:
-    """A miniature traced tier: 3 cache workers over an object store."""
-    from repro.distributed.client import DistributedCacheClient
-    from repro.distributed.worker import CacheWorker
+    """A miniature traced cluster: 3 Presto workers over an object store.
+
+    Each request is a one-file query (one 128 KiB column chunk of a
+    Zipf-popular file), half a virtual second after the previous one, run
+    on the cluster's kernel; each query is one trace.
+    """
+    from repro.presto import PrestoCluster, QueryProfile, ScanProfile, TableScan
+    from repro.presto.catalog import Catalog, build_table
     from repro.resilience import ResilientDataSource, RetryPolicy
     from repro.storage.object_store import ObjectStore
     from repro.storage.remote import ObjectStoreDataSource
@@ -84,7 +88,7 @@ def run_demo_scenario(
 
     n_files = 16
     file_size = 1 * MIB
-    read_size = 128 * 1024
+    page_size = 128 * 1024
 
     clock = SimClock()
     root = RngStream(seed, "trace-viz-demo")
@@ -92,44 +96,44 @@ def run_demo_scenario(
     with installed_time_source(clock.now):
         with installed_tracer(tracer):
             store = ObjectStore(clock=clock)
-            for i in range(n_files):
-                store.put_object(f"lake/f{i:03d}", bytes([i % 251]) * file_size)
+            table = build_table(
+                "lake", "events", n_partitions=n_files, files_per_partition=1,
+                file_size=file_size, n_columns=file_size // page_size,
+                n_row_groups=1,
+            )
+            for i, (__, file) in enumerate(table.all_files()):
+                store.put_object(file.file_id, bytes([i % 251]) * file_size)
+            catalog = Catalog()
+            catalog.add_table(table)
             remote = ResilientDataSource(
                 ObjectStoreDataSource(store),
                 policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.2),
                 rng=root.child("retry"),
             )
-            workers = [
-                CacheWorker(
-                    f"cw-{i}",
-                    remote,
-                    cache_capacity_bytes=8 * MIB,
-                    page_size=read_size,
-                    clock=clock,
-                )
-                for i in range(3)
-            ]
-            client = DistributedCacheClient(workers, remote, clock=clock)
-            loop = Kernel(clock)
+            cluster = PrestoCluster.create(
+                catalog, remote, n_workers=3, cache_capacity_bytes=8 * MIB,
+                page_size=page_size, target_split_size=file_size, clock=clock,
+            )
             ranks = ZipfSampler(n_files, 1.1, root.child("zipf")).sample(
                 n_requests
             )
-            offsets = root.child("offsets").rng.integers(
-                0, file_size // read_size, size=n_requests
+            scan = ScanProfile(columns_read=1, row_group_selectivity=1.0)
+            arrivals = [
+                ((i + 1) * 0.5, QueryProfile(
+                    query_id=f"r{i:04d}",
+                    scans=(TableScan("lake.events", 1 / n_files, scan,
+                                     partition_offset=int(rank)),),
+                    compute_seconds=0.0,
+                ))
+                for i, rank in enumerate(ranks)
+            ]
+            results = cluster.coordinator.run_concurrent_kernel(
+                arrivals, worker_concurrency=1
             )
-            latency_sum = 0.0
-            for i in range(n_requests):
-                loop.run_until((i + 1) * 0.5)
-                result = client.read(
-                    f"lake/f{int(ranks[i]):03d}",
-                    int(offsets[i]) * read_size,
-                    read_size,
-                )
-                latency_sum += result.latency
     summary = {
         "requests": n_requests,
-        "latency_sum": round(latency_sum, 6),
-        "hit_ratio": round(client.tier_hit_ratio(), 6),
+        "latency_sum": round(sum(r.wall_seconds for r in results), 9),
+        "hit_ratio": round(cluster.coordinator.cluster_hit_ratio(), 6),
         "spans": len(tracer.buffer),
     }
     return tracer, summary

@@ -41,7 +41,6 @@ class TestAttributeTrace:
         assert report.charged_total == pytest.approx(1.5)
         assert report.within(0.01)
         assert report.span_count == 2
-        assert not report.rescaled
 
     def test_wall_defaults_to_charges(self):
         tracer = make_tracer()
@@ -72,20 +71,6 @@ class TestAttributeTrace:
             pass
         assert is_off_path(load)
         assert not is_off_path(plain)
-
-    def test_rescale_on_hedged_trace(self):
-        tracer = make_tracer()
-        with tracer.span("read") as root:
-            root.charge("remote", 2.0)
-            root.charge("queueing", 2.0)
-            # a hedge replaced the primary's latency: total=1.0, mix kept
-            root.annotate("latency", 1.0)
-            root.annotate("rescale", True)
-        report = attribute_trace(tracer.buffer.spans())
-        assert report.rescaled
-        assert report.buckets["remote"] == pytest.approx(0.5)
-        assert report.buckets["queueing"] == pytest.approx(0.5)
-        assert report.charged_total == pytest.approx(report.wall)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):

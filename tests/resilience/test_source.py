@@ -1,4 +1,8 @@
-"""Tests for ResilientDataSource: retry + breaker + hedging wrapper."""
+"""Tests for ResilientDataSource: retry + breaker + hedging wrapper.
+
+Retry and breaker behaviour is tested on plain ``read``; the deadline and
+the hedge race need a kernel and are tested through ``read_proc``.
+"""
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.errors import (
 from repro.resilience import CircuitBreaker, HedgePolicy, ResilientDataSource, RetryPolicy
 from repro.ports.clock import SimClock
 from repro.ports.rng import RngStream
+from repro.sim.kernel import Cancelled, Kernel, Timeout, current_kernel, defer_io
 from repro.storage.remote import ReadResult, SyntheticDataSource
 
 
@@ -94,24 +99,86 @@ class TestRetries:
         assert source.file_length("f") == 1024
 
 
+class SleepingSource:
+    """Serves fixed-latency data whose time is lived on the kernel: each
+    read defers one sleep, and a sleep cancelled mid-way is recorded."""
+
+    def __init__(self, latency):
+        self.latency = latency
+        self.calls = 0
+        self.cancelled_at = []
+
+    def file_length(self, file_id):
+        return 1024
+
+    def read(self, file_id, offset, length):
+        self.calls += 1
+        defer_io(self._sleep)
+        return ReadResult(data=b"d" * length, latency=0.0)
+
+    def _sleep(self):
+        try:
+            yield Timeout(self.latency)
+        except Cancelled:
+            self.cancelled_at.append(current_kernel().clock.now())
+            raise
+        return self.latency
+
+
+def read_on_kernel(source):
+    """One ``read_proc`` on an idle kernel; returns (result, clock)."""
+    clock = SimClock()
+    kernel = Kernel(clock)
+    proc = kernel.spawn(source.read_proc("f", 0, 8))
+    kernel.run()
+    return proc.value, clock
+
+
 class TestAttemptDeadline:
     def test_slow_attempt_abandoned_at_deadline(self):
-        slow = FlakySource(failures=0, latency=5.0)
+        slow = SleepingSource(latency=5.0)
         policy = RetryPolicy(max_attempts=2, base_delay=0.1, jitter=0.0,
                              attempt_timeout=1.0)
         source = make_source(slow, policy=policy)
-        result = source.read("f", 0, 8)
-        # attempt 1 abandoned at the 1.0s deadline + 0.1 backoff, then the
-        # final attempt's slow result is accepted as-is
+        result, clock = read_on_kernel(source)
+        # attempt 1 is cancelled at the 1.0s deadline, then 0.1 backoff,
+        # then the final attempt runs uncapped
+        assert slow.cancelled_at == [1.0]
         assert result.latency == pytest.approx(1.0 + 0.1 + 5.0)
+        assert clock.now() == pytest.approx(6.1)
         assert slow.calls == 2
         assert source.metrics.counter("retries").value == 1
 
     def test_fast_attempt_unaffected_by_deadline(self):
-        fast = FlakySource(failures=0, latency=0.01)
+        fast = SleepingSource(latency=0.01)
         policy = RetryPolicy(attempt_timeout=1.0, jitter=0.0)
         source = make_source(fast, policy=policy)
-        assert source.read("f", 0, 8).latency == pytest.approx(0.01)
+        result, __ = read_on_kernel(source)
+        assert result.latency == pytest.approx(0.01)
+        assert fast.cancelled_at == []
+        assert source.metrics.counter("retries").value == 0
+
+
+class TestOutsideAKernel:
+    """Nothing can be raced outside a kernel: a plain ``read`` does retry
+    and breaker only and refuses what would need a race."""
+
+    def test_hedge_refused(self):
+        hedge = HedgePolicy(min_observations=5)
+        flaky = FlakySource(failures=0)
+        source = make_source(flaky, hedge=hedge)
+        with pytest.raises(ValueError, match="read_proc"):
+            source.read("f", 0, 8)
+        assert flaky.calls == 0
+
+    def test_attempt_timeout_refused(self):
+        flaky = FlakySource(failures=0)
+        source = make_source(
+            flaky, policy=RetryPolicy(attempt_timeout=1.0, jitter=0.0)
+        )
+        with pytest.raises(ValueError, match="read_proc"):
+            source.read("f", 0, 8)
+        assert flaky.calls == 0
 
 
 class TestBreakerIntegration:
@@ -156,13 +223,15 @@ class TestHedgeIntegration:
         hedge = HedgePolicy(min_observations=5)
         for _ in range(5):
             hedge.observe(0.05)
-        slow = FlakySource(failures=0, latency=10.0)
+        slow = SleepingSource(latency=10.0)
         source = make_source(slow, hedge=hedge)
-        result = source.read("f", 0, 8)
+        result, __ = read_on_kernel(source)
         assert hedge.hedged_requests == 1
-        # backup is the same (still slow) source here, so the primary wins,
-        # but the decision itself is what is under test
+        # the backup is the same (still slow) source here, so the primary
+        # wins and the backup is cancelled, but the decision itself is what
+        # is under test
         assert result.latency == pytest.approx(10.0)
+        assert slow.cancelled_at == [pytest.approx(10.0)]
 
 
 class TestDeterminism:

@@ -1,8 +1,9 @@
-"""The sync facade over the service composes with the PR 1 resilience stack.
+"""The sync facade over the service composes with the resilience stack.
 
 ``RemoteCacheDataSource`` implements the same ``DataSource`` protocol as
-``SyntheticDataSource``, so ``ResilientDataSource`` (retry / hedge /
-circuit breaker) must wrap it unchanged -- over real sockets.
+``SyntheticDataSource``, so ``ResilientDataSource`` (retry / circuit
+breaker; its hedge and deadline need the event kernel) must wrap it
+unchanged -- over real sockets.
 """
 
 import asyncio

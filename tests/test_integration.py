@@ -3,8 +3,6 @@
 from repro.core import CacheConfig, CacheDirectory, CacheScope, LocalCacheManager
 from repro.core.admission import BucketTimeRateLimit
 from repro.core.pagestore import LocalFilePageStore
-from repro.distributed import CacheWorker, DistributedCacheClient
-from repro.fuse import CachedFileSystem
 from repro.hdfs_cache import CachedDataNode
 from repro.ports.clock import SimClock
 from repro.storage.hdfs import DataNode, DfsClient, NameNode
@@ -106,42 +104,3 @@ class TestHdfsEndToEnd:
         fresh = cached.read_block(status.blocks[0], 100, 200)
         assert fresh.data == payload[100:300]
 
-
-class TestDistributedTierOverFuse:
-    """ML training reads routed through the distributed cache tier."""
-
-    def test_fuse_over_cache_worker_tier(self):
-        clock = SimClock()
-        store = ObjectStore()
-        payload = bytes(i % 256 for i in range(256 * KIB))
-        store.put_object("ds/shard-0", payload)
-        source = ObjectStoreDataSource(store)
-        workers = [
-            CacheWorker(f"cw-{i}", source, cache_capacity_bytes=4 * MIB,
-                        page_size=32 * KIB, clock=clock)
-            for i in range(3)
-        ]
-        client = DistributedCacheClient(workers, source, clock=clock)
-
-        class TierSource:
-            """Adapts the distributed tier to the DataSource protocol."""
-
-            def file_length(self, file_id):
-                return source.file_length(file_id)
-
-            def read(self, file_id, offset, length):
-                result = client.read(file_id, offset, length)
-                from repro.storage.remote import ReadResult
-
-                return ReadResult(data=result.data, latency=result.latency)
-
-        # an edge cache in the compute process, backed by the cache tier
-        edge = LocalCacheManager(CacheConfig.small(1 * MIB, page_size=32 * KIB))
-        fs = CachedFileSystem(edge, TierSource())
-        data = fs.read_file("ds/shard-0")
-        assert data == payload
-        again = fs.read_file("ds/shard-0")
-        assert again == payload
-        # the tier served the first pass; the edge cache the second
-        assert client.reads > 0
-        assert edge.metrics.hit_ratio >= 0.5  # second pass fully edge-local
