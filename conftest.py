@@ -13,6 +13,9 @@ as fixtures so any test can opt in with ``@pytest.mark.determinism``:
 - ``write_conflict_detector`` -- a fresh
   :class:`~repro.sim.sanitizer.WriteWriteConflictDetector`; feed it every
   mutation and finish with ``.assert_clean()``.
+
+``switch_interval_stress`` makes the GIL change hands every 10 µs for the
+duration of one test (the real path's threads, not the simulator's).
 """
 
 import sys
@@ -37,3 +40,15 @@ def write_conflict_detector():
     from repro.sim.sanitizer import WriteWriteConflictDetector
 
     return WriteWriteConflictDetector()
+
+
+@pytest.fixture
+def switch_interval_stress():
+    """Hand the GIL over every 10 µs instead of every 5 ms, so races
+    between threads get many chances to show within one test."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

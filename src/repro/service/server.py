@@ -7,8 +7,9 @@ Design (DESIGN.md §14):
   ``FrameDecoder``.  A GET whose whole range is resident in a store with
   non-blocking reads is answered from ``buffer_updated``: no task, no lock,
   no thread hop.  Every other request (a miss, a PUT, STATS, any GET over
-  a store that may block) runs on a small thread pool -- the engine is
-  thread-safe (striped page locks) -- and a done-callback writes its reply.
+  a store that may block) runs on a small engine pool -- the engine is
+  thread-safe (striped page locks) -- and a callback on the loop writes
+  its reply.
   Which of the two happens is decided by what the engine's store is, never
   by a setting.
 - **Per-connection backpressure.**  A connection stops reading *and*
@@ -31,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import collections
 import functools
 import json
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.core.cache_manager import CacheReadResult
@@ -68,6 +71,89 @@ def _get_response(result: CacheReadResult) -> GetResponse:
     )
 
 
+class _EnginePool:
+    """At most ``workers`` threads running engine calls off the loop.
+
+    A thread starts only when a job finds none idle, so a server whose
+    requests all stay on the loop starts none.  Threads are daemons:
+    ``shutdown`` (from ``drain``) joins them, and a server that is never
+    drained does not hold the process open.  A finished job queues
+    ``(callback, result)``; at most one ``call_soon_threadsafe`` is pending
+    at a time, and the loop runs every queued callback when it fires.
+    Jobs take no arguments and must not raise.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.loop: asyncio.AbstractEventLoop = None  # type: ignore[assignment]
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+        self._idle = 0  # threads that finished a job and went back for more
+        self._done: collections.deque = collections.deque()
+        self._armed = False  # a call_soon_threadsafe(_run_callbacks) is pending
+        self._lock = threading.Lock()
+
+    @property
+    def queued(self) -> int:
+        """Jobs no thread has picked up yet."""
+        return self._jobs.qsize()
+
+    def submit(self, job: Callable[[], Any], callback: Callable[[Any], None]) -> None:
+        """Run ``job()`` on a pool thread, then ``callback(result)`` on the loop."""
+        self._jobs.put((job, callback))
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+                return
+        if len(self._threads) < self.workers:
+            thread = threading.Thread(
+                target=self._work, name=f"cache-engine_{len(self._threads)}",
+                daemon=True,
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _work(self) -> None:
+        while True:
+            item = self._jobs.get()
+            if item is None:
+                return
+            job, callback = item
+            self._done.append((callback, job()))
+            with self._lock:
+                self._idle += 1
+                if self._armed:
+                    continue
+                self._armed = True
+            self.loop.call_soon_threadsafe(self._run_callbacks)
+
+    def _run_callbacks(self) -> None:
+        with self._lock:
+            self._armed = False  # before popping: a later append re-arms
+        done = self._done
+        while done:
+            callback, result = done.popleft()
+            try:
+                callback(result)
+            except BaseException:
+                if done:  # the loop reports this one; the rest run next turn
+                    self.loop.call_soon(self._run_callbacks)
+                raise
+
+    def shutdown(self) -> None:
+        """Let queued jobs finish, then join every thread."""
+        for _ in self._threads:
+            self._jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads.clear()
+
+
+def _settle(future: asyncio.Future, result: Any) -> None:
+    if not future.done():  # a cancelled waiter no longer wants it
+        future.set_result(result)
+
+
 class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames in, replies out, no task of its own.
 
@@ -78,7 +164,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.server = server
         self.transport: asyncio.Transport = None  # type: ignore[assignment]
         self.decoder = wire.FrameDecoder()
-        self.pooled = 0            # requests on the thread pool: the window
+        self.pooled = 0            # requests on the engine pool: the window
         self.write_paused = False  # transport above its write high-water mark
         self.eof = False           # the peer will send nothing more
         self.closing = False       # nothing more will be parsed
@@ -180,17 +266,17 @@ class _Connection(asyncio.BufferedProtocol):
                 self._reply(request_id, _get_response(result))
                 return
         self.pooled += 1
-        done = functools.partial(self._pool_done, request_id, started)
-        asyncio.get_running_loop().run_in_executor(
-            server._executor, server._dispatch, request
-        ).add_done_callback(done)
+        server._pool.submit(
+            functools.partial(server._dispatch, request),
+            functools.partial(self._pool_done, request_id, started),
+        )
 
     def _pool_done(
-        self, request_id: int, started: float, future: asyncio.Future
+        self, request_id: int, started: float, response: wire.Response
     ) -> None:
         self.pooled -= 1
         self.server._count_served(started)
-        self._reply(request_id, future.result())  # _dispatch never raises
+        self._reply(request_id, response)
         self.server._changed.set()
         self._pump()
 
@@ -215,8 +301,8 @@ class CacheServer:
         engine: the cache core; must outlive the server.
         host / port: bind address; ``port=0`` picks a free port (see
             :attr:`port` after :meth:`start`).
-        max_inflight: per-connection window of requests on the thread pool.
-        executor_workers: thread pool size for engine calls.
+        max_inflight: per-connection window of requests on the engine pool.
+        executor_workers: most threads the engine pool starts.
         ttl_interval: when > 0, runs ``engine.ttl_sweep()`` every that
             many (wall) seconds while the server is up.
     """
@@ -236,9 +322,7 @@ class CacheServer:
         self.port = port
         self.max_inflight = max_inflight
         self.ttl_interval = ttl_interval
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="cache-engine"
-        )
+        self._pool = _EnginePool(executor_workers)
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[_Connection] = set()
         # set whenever a pooled request finishes or a connection goes away;
@@ -253,7 +337,8 @@ class CacheServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._server = await asyncio.get_running_loop().create_server(
+        self._pool.loop = asyncio.get_running_loop()
+        self._server = await self._pool.loop.create_server(
             lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
@@ -287,7 +372,7 @@ class CacheServer:
         await self._until(lambda: not self._connections, deadline + 1.0)
         if self._server is not None:
             await self._server.wait_closed()
-        self._executor.shutdown(wait=True)
+        self._pool.shutdown()
         return {"clean": clean, "served": self._served, "rejected": self._rejected}
 
     async def _until(self, done: Callable[[], bool], deadline: float) -> bool:
@@ -305,8 +390,15 @@ class CacheServer:
     async def _ttl_loop(self) -> None:
         while True:
             await asyncio.sleep(self.ttl_interval)
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._executor, self.engine.ttl_sweep)
+            swept = self._pool.loop.create_future()
+            self._pool.submit(self._ttl_sweep, functools.partial(_settle, swept))
+            await swept
+
+    def _ttl_sweep(self) -> None:
+        try:
+            self.engine.ttl_sweep()
+        except Exception as exc:  # a pool job must not raise
+            self.engine.metrics.record_error("service_ttl", exc)
 
     def _count_served(self, started: float) -> None:
         self._served += 1
@@ -317,7 +409,8 @@ class CacheServer:
     # --------------------------------------------------------------- dispatch
 
     def _dispatch(self, request: wire.Request) -> wire.Response:
-        """Engine call for one request; runs on the executor thread pool."""
+        """Engine call for one request; runs on an engine pool thread and
+        never raises."""
         try:
             if isinstance(request, GetRequest):
                 return _get_response(

@@ -1,5 +1,6 @@
 """Tests for the three page stores: memory, local-file, simulated SSD."""
 
+import struct
 import zlib
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.pagestore import (
     MemoryPageStore,
     SimulatedSsdPageStore,
 )
+from repro.core.pagestore.local import MAGIC, SUB_BLOCK
 from repro.errors import (
     CacheReadTimeoutError,
     NoSpaceLeftError,
@@ -110,18 +112,22 @@ class TestLocalFilePageStore:
         with pytest.raises(PageCorruptedError):
             store.get(PID, 0)
 
-    def test_missing_checksum_detected(self, tmp_path):
+    def test_truncated_header_detected(self, tmp_path):
         store = LocalFilePageStore([tmp_path], page_size=1024)
         store.put(PID, b"payload", 0)
-        next(tmp_path.glob("page_size=1024/bucket=*/file=*/3.crc")).unlink()
+        page_file = next(tmp_path.glob("page_size=1024/bucket=*/file=*/3"))
+        page_file.write_bytes(page_file.read_bytes()[:6])  # the checksums are gone
         with pytest.raises(PageCorruptedError):
             store.get(PID, 0)
 
-    def test_verification_can_be_disabled(self, tmp_path):
+    def test_disabled_verification_serves_unchecked_bytes(self, tmp_path):
         store = LocalFilePageStore([tmp_path], page_size=1024, verify_checksums=False)
         store.put(PID, b"payload", 0)
-        next(tmp_path.glob("page_size=1024/bucket=*/file=*/3.crc")).unlink()
-        assert store.get(PID, 0) == b"payload"
+        page_file = next(tmp_path.glob("page_size=1024/bucket=*/file=*/3"))
+        raw = bytearray(page_file.read_bytes())
+        raw[-1] ^= 0xFF  # the payload's last byte; its CRC no longer matches
+        page_file.write_bytes(bytes(raw))
+        assert store.get(PID, 0) == b"payloa" + bytes([ord("d") ^ 0xFF])
 
     def test_recovery_from_directory_walk(self, tmp_path):
         """Page identity is self-contained in names and parent folders."""
@@ -157,11 +163,17 @@ class TestLocalFilePageStore:
         with pytest.raises(ValueError):
             LocalFilePageStore([], page_size=1024)
 
-    def test_crc_sidecar_content(self, tmp_path):
-        store = LocalFilePageStore([tmp_path], page_size=1024)
-        store.put(PID, b"payload", 0)
-        crc = next(tmp_path.glob("page_size=1024/bucket=*/file=*/3.crc"))
-        assert int.from_bytes(crc.read_bytes(), "big") == zlib.crc32(b"payload")
+    def test_header_carries_sub_block_crcs(self, tmp_path):
+        store = LocalFilePageStore([tmp_path], page_size=2 * SUB_BLOCK)
+        payload = bytes(range(256)) * (SUB_BLOCK // 256) + b"tail"
+        store.put(PID, payload, 0)
+        raw = next(tmp_path.glob(f"page_size={2 * SUB_BLOCK}/bucket=*/file=*/3")).read_bytes()
+        magic, size, first, second = struct.unpack_from("<4sIII", raw)
+        assert (magic, size) == (MAGIC, len(payload))
+        assert first == zlib.crc32(payload[:SUB_BLOCK])
+        assert second == zlib.crc32(payload[SUB_BLOCK:])
+        assert raw[16:] == payload
+        assert list(tmp_path.rglob("*.crc")) == []  # no sidecar
 
 
 def make_sim_store(**fault_kwargs):

@@ -1,11 +1,11 @@
 """The server's connection layer: who runs where, the window, hostile peers.
 
 ``CacheServer`` answers resident GETs on the event loop and sends
-everything else to its thread pool.  These tests pin the properties that
+everything else to its engine pool.  These tests pin the properties that
 split must keep: a blocking call never reaches the loop thread, the
 per-connection window bounds what one peer can have on the pool, write-side
 backpressure bounds what it can make the server buffer, and whatever a
-hostile peer does, connections, window slots and executor threads are back
+hostile peer does, connections, window slots and pool threads are back
 at baseline afterwards (ROADMAP item 4b).
 """
 
@@ -90,15 +90,15 @@ async def settle(server: CacheServer, timeout: float = 5.0) -> None:
 
 
 async def assert_baseline(server: CacheServer, workers: int) -> None:
-    """No connection, no window slot, no queued or leaked executor work --
+    """No connection, no window slot, no queued or leaked pool work --
     and a well-behaved client is served at once."""
     await settle(server)
     assert server._connections == set()
     # what a vanished peer left on the pool runs out (it cannot be recalled)
     deadline = NOW() + 5.0
-    while server._executor._work_queue.qsize() and NOW() < deadline:
+    while server._pool.queued and NOW() < deadline:
         await asyncio.sleep(0.01)
-    assert server._executor._work_queue.qsize() == 0
+    assert server._pool.queued == 0
     pool_threads = [
         t for t in threading.enumerate() if t.name.startswith("cache-engine")
     ]
