@@ -1,9 +1,9 @@
 """Admission policy interface.
 
-The admission controller (Figure 3) sees every read *before* the cache
-lookup; data it declines takes the non-cache read path straight to the
-external source.  Policies receive the file identity and the scope so they
-can reason at file, partition, or table granularity.
+The admission controller (Figure 3) decides what is *cached*, not what is
+read: it is asked once per read, at the first page that must be fetched
+(a fully resident read never asks), and once per direct put.  Policies see
+the file identity and the scope, to reason per file, partition or table.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ class AdmissionPolicy(Protocol):
 
         ``now`` is virtual time; window-based policies use it to age their
         state.  Implementations may mutate internal state (access counters)
-        on every call; one that never does says so with the class attribute
-        ``stateless = True``, which is what lets a caller ask it twice
-        about one access (``LocalCacheManager.read_resident``, then the
-        ``read`` it falls back to).
+        on every call: each call is one access that fetches, so hits on
+        resident pages are not counted.
         """
         ...
 
@@ -33,16 +31,12 @@ class AdmissionPolicy(Protocol):
 class AdmitAll:
     """Cache everything (the baseline the paper's strategies improve on)."""
 
-    stateless = True
-
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         return True
 
 
 class AdmitNone:
     """Cache nothing; turns the cache into a pass-through (for ablations)."""
-
-    stateless = True
 
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         return False

@@ -15,10 +15,11 @@ Rules are expressed as JSON-compatible dicts::
     ]
 
 Partition capping is LRU over partitions: when a table already has
-``maxCachedPartitions`` distinct partitions admitted and a new partition
-arrives, the least-recently-seen partition is retired from the admitted set
-(its future accesses are declined until it re-earns a slot; the cache
-manager's scope delete actually frees its pages).
+``maxCachedPartitions`` distinct partitions admitted and another one asks,
+it is admitted as the newest and the least-recently-seen one is retired.
+The cache manager asks only for pages a read must fetch, so a retired
+partition's resident pages keep serving until evicted, its next fetch
+re-admits it, and recency advances on fetches and direct puts, not hits.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 :class:`LocalCacheManager` wires the components of Section 4 into the
 read/write workflow:
 
-1. **Admission controller** decides whether an access is cache-worthy;
-   declined data takes the non-cache read path to the external source.
+1. **Admission controller** decides whether pages a read must fetch are
+   cache-worthy; declined ones take the non-cache path to the source.
 2. **Page translation** turns file-level positional reads into page-level
    operations (one step per page, :meth:`LocalCacheManager._walk`).
 3. **Cache hit** -- the page store serves the bytes; a read that exceeds
@@ -135,12 +135,12 @@ class LocalCacheManager:
         self._stripes = [
             threading.RLock() for __ in range(self.config.lock_stripes)
         ]
-        # looked up once, not per page: what the store and the admission
-        # policy declare, and the well-known counters reads and puts move
+        # looked up once, not per page: what the store declares, and the
+        # well-known counters reads and puts move
         self._store_models_latency = hasattr(self.page_store, "last_op_latency")
         self._serves_resident = getattr(
             type(self.page_store), "nonblocking_reads", False
-        ) and getattr(type(self.admission), "stateless", False)
+        )
         counter = self.metrics.counter
         self._hits, self._misses = counter("get_hits"), counter("get_misses")
         self._cache_bytes = counter("bytes_read_cache")
@@ -208,29 +208,10 @@ class LocalCacheManager:
             result = CacheReadResult(b"")
             file_length = source.file_length(file_id)
             if offset < file_length:
-                end = min(offset + length, file_length)
-                now = self.clock.now()
-                if self.admission.admit(file_id, scope, now):
-                    self._walk(
-                        file_id, offset, end, now, result,
-                        source, scope, ttl, file_length, span,
-                    )
-                else:
-                    # Non-cache read path (Figure 3): straight to the source.
-                    self.metrics.counter("put_rejected_admission").inc()
-                    if span is not None:
-                        span.event("admission_bypass")
-                    remote = source.read(file_id, offset, end - offset)
-                    if span is not None:
-                        self._charge_remote(span, source, remote.latency)
-                    size = self.config.page_size
-                    pages = (end - 1) // size - offset // size + 1 if end > offset else 0
-                    result.data = remote.data
-                    result.latency = remote.latency
-                    result.bytes_from_remote = len(remote.data)
-                    result.page_misses = pages
-                    self._misses.inc(pages)
-                    self._remote_bytes.inc(len(remote.data))
+                self._walk(
+                    file_id, offset, min(offset + length, file_length),
+                    self.clock.now(), result, source, scope, ttl, file_length, span,
+                )
             if span is None:
                 self._read_latency.observe(result.latency)
             else:
@@ -277,9 +258,12 @@ class LocalCacheManager:
         booked in runs (:meth:`_book_hits`, one ``_meta_lock`` hold each):
         before anything that may evict and when the walk ends, so the
         policy sees accesses in page order.  A page that is not resident,
-        or whose store read fails (:meth:`_hit_failed`), is read through
-        ``source`` and put; without a ``source`` (the resident read) either
-        ends the walk with ``False``, nothing booked, no counter moved.
+        or whose store read fails (:meth:`_hit_failed`), is fetched from
+        ``source``; the first such page asks admission, once per read.
+        Admitted, each is read whole and put; declined, it and the absent
+        pages after it are one ranged read of the requested bytes.  Without
+        a ``source`` (the resident read) a fetch ends the walk with
+        ``False``, nothing booked or counted.
         """
         page_size = self.config.page_size
         timeout = self.config.read_timeout
@@ -292,6 +276,7 @@ class LocalCacheManager:
         new_page_id = tuple.__new__
         chunks: list[bytes] = []
         hits: list[tuple[PageInfo, int]] = []  # read, not yet booked
+        admitted = None
         while position < end:
             index = position // page_size
             in_page = position - index * page_size
@@ -330,21 +315,33 @@ class LocalCacheManager:
                     self._book_hits(hits, now, result)
                 if info is not None:
                     self._hit_failed(page_id, failure, result, span)
-                # miss: fetch the whole page remotely, try to cache it
-                page_offset = index * page_size
-                remote = source.read(
-                    file_id, page_offset, min(page_size, file_length - page_offset)
-                )
-                data = remote.data
-                if span is not None:
-                    self._charge_remote(span, source, remote.latency)
-                result.latency += remote.latency
-                result.page_misses += 1
-                result.bytes_from_remote += len(data)
-                self._misses.value += 1
-                self._remote_bytes.value += len(data)
-                self.put_page(page_id, data, scope=scope, ttl=ttl, pre_admitted=True)
-                data = data[in_page : in_page + take]
+                if admitted is None:  # once per read, at its first fetch
+                    admitted = self.admission.admit(file_id, scope, now)
+                    if not admitted:
+                        self.metrics.counter("put_rejected_admission").inc()
+                        if span is not None:
+                            span.event("admission_bypass")
+                if admitted:
+                    # miss: fetch the whole page remotely, try to cache it
+                    page_offset = index * page_size
+                    data = self._fetch(
+                        source, file_id, page_offset,
+                        min(page_offset + page_size, file_length), result, span,
+                    )
+                    self.put_page(
+                        page_id, data, scope=scope, ttl=ttl, pre_admitted=True
+                    )
+                    data = data[in_page : in_page + take]
+                else:
+                    # the non-cache read path (Figure 3): the requested bytes
+                    # of this page and of the absent pages after it, one read
+                    stop = position + take
+                    while stop < end and lookup(
+                        new_page_id(PageId, (file_id, stop // page_size))
+                    ) is None:
+                        stop = min(stop + page_size, end)
+                    take = stop - position
+                    data = self._fetch(source, file_id, position, stop, result, span)
             chunks.append(data)
             position += take
         if hits:
@@ -352,6 +349,23 @@ class LocalCacheManager:
         # a one-page read hands the store's (or the source's) bytes on as is
         result.data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
         return True
+
+    def _fetch(
+        self, source: DataSource, file_id: str, start: int, stop: int,
+        result: CacheReadResult, span,
+    ) -> bytes:
+        """Read ``[start, stop)`` from ``source``; book its pages as misses."""
+        remote = source.read(file_id, start, stop - start)
+        if span is not None:
+            self._charge_remote(span, source, remote.latency)
+        size = self.config.page_size
+        pages = (stop - 1) // size - start // size + 1
+        result.latency += remote.latency
+        result.page_misses += pages
+        self._misses.value += pages
+        result.bytes_from_remote += len(remote.data)
+        self._remote_bytes.value += len(remote.data)
+        return remote.data
 
     def _book_hits(
         self, hits: list[tuple[PageInfo, int]], now: float, result: CacheReadResult
@@ -398,12 +412,7 @@ class LocalCacheManager:
         result.fallbacks += 1
 
     def read_resident(
-        self,
-        file_id: str,
-        offset: int,
-        length: int,
-        *,
-        scope: CacheScope | None = None,
+        self, file_id: str, offset: int, length: int
     ) -> CacheReadResult | None:
         """:meth:`read` for callers that must not block (an event loop).
 
@@ -415,23 +424,18 @@ class LocalCacheManager:
         page's bytes are in hand.  The only waits are the metadata lock and
         the page stripes, which over such a store guard dict updates.
 
-        On any absence, store error or admission refusal the answer is
-        ``None`` and the caller falls back to :meth:`read` with nothing
-        counted twice.  Admission is asked only when the policy declares
-        ``stateless``: any other may count the access, and the fallback
-        would make it count twice.
+        On any absence or store error the answer is ``None`` and the caller
+        falls back to :meth:`read` with nothing counted twice.  It fetches
+        nothing, so it never asks admission.
         """
         if not self._serves_resident:
             return None
         if offset < 0 or length < 0 or not file_id:
             raise ValueError(f"bad read of {file_id!r}: {offset=} {length=}")
-        now = self.clock.now()
-        if length == 0 or not self.admission.admit(
-            file_id, scope if scope is not None else _GLOBAL_SCOPE, now
-        ):
-            return None
         result = CacheReadResult(b"")
-        if not self._walk(file_id, offset, offset + length, now, result):
+        if length == 0 or not self._walk(
+            file_id, offset, offset + length, self.clock.now(), result
+        ):
             return None
         self._read_latency.observe(result.latency)
         return result

@@ -133,7 +133,7 @@ class CacheEngine:
         (metrics, an external tracer) sees these reads as well.
         """
         if resident_only:
-            return self.manager.read_resident(file_id, offset, length, scope=scope)
+            return self.manager.read_resident(file_id, offset, length)
         src = source if source is not None else self.source
         if src is None:
             raise ValueError(

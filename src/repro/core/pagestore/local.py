@@ -316,8 +316,8 @@ class LocalFilePageStore:
             except FileNotFoundError:
                 try:
                     os.makedirs(folder, exist_ok=True)
-                except FileNotFoundError:
-                    pass  # the bucket was pruned under makedirs
+                except (FileNotFoundError, FileExistsError):
+                    pass  # pruned under makedirs (it re-checks after EEXIST)
 
     def _prune(self, folder: str, file_id: str, directory: int) -> None:
         """Remove the file's folder, then its bucket, if now empty; the

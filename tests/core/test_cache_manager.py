@@ -13,7 +13,14 @@ from repro.core import (
     PageId,
     QuotaManager,
 )
-from repro.core.admission import BucketTimeRateLimit
+from repro.core.admission import (
+    AdmitAll,
+    BucketTimeRateLimit,
+    CacheFilter,
+    FilterAdmissionPolicy,
+    ShadowCache,
+    TinyLfuAdmission,
+)
 from repro.core.pagestore import FaultPlan, MemoryPageStore, SimulatedSsdPageStore
 from repro.service.sim_transport import KernelScheduler
 from repro.ports.clock import SimClock
@@ -147,6 +154,60 @@ class TestAdmission:
         cache = make_cache(admission=AdmitNone())
         assert not cache.put_page(PageId(FILE, 0), b"x" * 10)
         assert cache.put_page(PageId(FILE, 0), b"x" * 10, pre_admitted=True)
+
+    def test_a_resident_page_is_read_after_the_window_rolls_over(self):
+        """Admission decides what is cached, not what is read: at t = 120 s
+        the limiter's window has forgotten page 0, which is still a hit."""
+        mib = 1024 * 1024
+        clock = SimClock()
+        cache = LocalCacheManager(
+            CacheConfig.small(8 * mib, page_size=mib), clock=clock,
+            admission=BucketTimeRateLimit(threshold=2, window_buckets=1),
+        )
+        source = make_source(length=4 * mib)
+        hits = []
+        for now in (0.0, 1.0, 120.0, 121.0):
+            clock.advance_to(now)
+            hits.append(cache.read(FILE, 0, mib, source).page_hits)
+        assert hits == [0, 0, 1, 1]
+
+    def test_a_declined_read_serves_its_resident_pages(self):
+        clock = SimClock()
+        cache = make_cache(
+            admission=BucketTimeRateLimit(threshold=2, window_buckets=1), clock=clock
+        )
+        source = make_source()
+        cache.read(FILE, 0, 10, source)  # declined: first access
+        cache.read(FILE, 2 * PAGE, 10, source)  # admitted: page 2 is cached
+        clock.advance_to(120.0)
+        expected = source.read(FILE, 5, 5 * PAGE).data
+        requests = source.request_count
+        result = cache.read(FILE, 5, 5 * PAGE, source)  # declined again
+        assert result.data == expected
+        assert (result.page_hits, result.page_misses) == (1, 5)
+        assert result.bytes_from_remote == 4 * PAGE
+        assert source.request_count - requests == 2  # one per run of misses
+        assert cache.page_count == 1
+
+    def test_a_retired_partition_keeps_serving_its_pages(self):
+        """``maxCachedPartitions`` retires a partition from the filter's set;
+        its resident pages still serve, a hit does not refresh it, and its
+        next fetch re-admits it."""
+        cache_filter = CacheFilter.from_json(
+            [{"table": "warehouse.orders", "maxCachedPartitions": 1}]
+        )
+        cache = make_cache(admission=FilterAdmissionPolicy(cache_filter))
+        source = make_source()
+        source.add_file("other", PAGE)
+        cache.read(FILE, 0, PAGE, source, scope=SCOPE)
+        newer = CacheScope.for_partition("warehouse", "orders", "ds=2")
+        cache.read("other", 0, PAGE, source, scope=newer)
+        assert cache_filter.admitted_partitions("warehouse.orders") == ["ds=2"]
+        assert cache.read(FILE, 0, PAGE, source, scope=SCOPE).page_hits == 1
+        assert cache_filter.admitted_partitions("warehouse.orders") == ["ds=2"]
+        assert cache.read(FILE, PAGE, PAGE, source, scope=SCOPE).page_misses == 1
+        assert cache.contains(PageId(FILE, 1))
+        assert cache_filter.admitted_partitions("warehouse.orders") == ["ds=1"]
 
 
 class TestEviction:
@@ -393,3 +454,85 @@ def test_capacity_never_exceeded(reads):
         assert cache.bytes_used <= PAGE * 3
         # metastore and page store agree
         assert cache.bytes_used == cache.page_store.bytes_used(0)
+
+
+class SpyPolicy:
+    """Wraps an admission policy and remembers each answer it gave."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.answers: list[bool] = []
+
+    def admit(self, file_id, scope, now):
+        answer = self.inner.admit(file_id, scope, now)
+        self.answers.append(answer)
+        return answer
+
+
+ADMISSION_POLICIES = {
+    "admit_all": AdmitAll,
+    "admit_none": AdmitNone,
+    "rate_limit": lambda: BucketTimeRateLimit(
+        threshold=2, window_buckets=2, bucket_seconds=1.0
+    ),
+    "shadow": lambda: ShadowCache(window_buckets=2, bucket_seconds=1.0),
+    "tinylfu": lambda: TinyLfuAdmission(threshold=2),
+    "partition_cap": lambda: FilterAdmissionPolicy.from_json(
+        [{"table": "wh.t", "maxCachedPartitions": 1}]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "make_policy", list(ADMISSION_POLICIES.values()), ids=list(ADMISSION_POLICIES)
+)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    reads=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # file
+            st.integers(min_value=0, max_value=PAGE * 5),  # offset
+            st.integers(min_value=1, max_value=PAGE * 4),  # length
+            st.sampled_from([0.0, 0.5, 2.0]),  # time since the last read
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_admission_is_asked_once_and_only_to_fetch(make_policy, reads):
+    """Property: a fully resident read never asks admission; any read asks
+    at most once; a declined read returns the source's bytes, books its
+    resident pages as hits and puts nothing."""
+    spy = SpyPolicy(make_policy())
+    clock = SimClock()
+    cache = make_cache(capacity=PAGE * 6, admission=spy, clock=clock)
+    source = SyntheticDataSource(base_latency=0.0, bandwidth=1e9)
+    for n in range(4):
+        source.add_file(f"file{n}", PAGE * 5 + 7 * n)
+    for file_n, offset, length, elapsed in reads:
+        clock.advance(elapsed)
+        file_id = f"file{file_n}"
+        end = min(offset + length, source.file_length(file_id))
+        pages = range(offset // PAGE, (end - 1) // PAGE + 1) if offset < end else ()
+        resident = sum(cache.contains(PageId(file_id, i)) for i in pages)
+        expected = source.read(file_id, offset, length).data
+        asked, count = len(spy.answers), cache.page_count
+        puts = cache.metrics.counters()["puts"]
+        result = cache.read(
+            file_id, offset, length, source,
+            scope=CacheScope.for_partition("wh", "t", f"p{file_n % 2}"),
+        )
+        answers = spy.answers[asked:]
+        assert result.data == expected
+        if resident == len(pages):
+            assert answers == []
+            assert (result.page_hits, result.page_misses) == (len(pages), 0)
+        elif answers == [False]:
+            assert (result.page_hits, result.page_misses) == (
+                resident, len(pages) - resident
+            )
+            assert cache.metrics.counters()["puts"] == puts
+            assert cache.page_count == count
+        else:
+            assert answers == [True]

@@ -135,10 +135,6 @@ class NeverF3:
         return file_id != "f3"
 
 
-class NeverF3Stateless(NeverF3):
-    stateless = True
-
-
 class BlockingFaultyStore(FaultyStore):
     nonblocking_reads = False
 
@@ -148,7 +144,7 @@ def build(policy: str, n_dirs: int, seed: int) -> tuple[CacheEngine, SimClock, F
     # odd seeds run a latency-modelling store that may block (resident reads
     # always decline), even seeds a silent non-blocking one
     store = BlockingFaultyStore(True) if seed % 2 else FaultyStore(False)
-    admission = [None, NeverF3(), NeverF3Stateless(), NeverF3Stateless()][seed % 4]
+    admission = NeverF3() if seed % 4 else None
     clock = SimClock()
     engine = CacheEngine(
         CacheConfig(

@@ -7,6 +7,8 @@ same directory) at any point.  Further arms: ranged reads across sub-blocks,
 damaged page files, and eight threads writing sibling pages of one file.
 """
 
+import errno
+import os
 import threading
 from pathlib import Path
 
@@ -205,3 +207,21 @@ def test_sibling_pages_from_eight_threads(tmp_path, switch_interval_stress):
     assert failures == []
     assert store.bytes_used(0) == 0
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+def test_a_folder_pruned_inside_makedirs_is_made_again(tmp_path, monkeypatch):
+    """``os.makedirs(exist_ok=True)`` raises ``FileExistsError`` when a
+    sibling's delete prunes the folder between its ``mkdir`` and its own
+    check; the put goes round instead of failing."""
+    store = LocalFilePageStore([tmp_path], page_size=PAGE_SIZE)
+    makedirs, calls = os.makedirs, []
+
+    def pruned_once(name, mode=0o777, exist_ok=False):
+        calls.append(name)
+        if len(calls) == 1:
+            raise FileExistsError(errno.EEXIST, "File exists", name)
+        makedirs(name, mode, exist_ok)
+
+    monkeypatch.setattr(os, "makedirs", pruned_once)
+    store.put(PageId("dir/raced", 0), b"x" * 10, 0)
+    assert store.get(PageId("dir/raced", 0), 0) == b"x" * 10

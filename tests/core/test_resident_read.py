@@ -221,14 +221,16 @@ class TestDeclines:
         # pages 0 and 2 were not promoted by the attempt: same victim order
         assert drain_victims(engine) == order
 
-    def test_a_stateful_admission_policy_is_not_asked_twice(self):
+    def test_a_stateful_policy_gets_the_inline_path_and_is_not_asked(self):
         admission = TinyLfuAdmission(threshold=2)
         engine = make_engine(admission=admission)
         for _ in range(4):
             engine.get("file-1", 0, PAGE)
         assert engine.contains("file-1", 0)
         estimate = admission.sketch.estimate("file-1")
-        assert engine.get("file-1", 0, PAGE, resident_only=True) is None
+        result = engine.get("file-1", 0, PAGE, resident_only=True)
+        assert result is not None and result.page_hits == 1
+        assert result.data == content("file-1", 0, PAGE)
         assert admission.sketch.estimate("file-1") == estimate
 
 
