@@ -28,7 +28,7 @@ single-threaded, but the cache is safe to embed in threaded applications.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -65,17 +65,31 @@ _STORE_READ_ERRORS = (CacheReadTimeoutError, PageCorruptedError, PageNotFoundErr
 class CacheReadResult:
     """Outcome of :meth:`LocalCacheManager.read`.
 
-    ``latency`` sums modelled page-store and remote latencies for the
-    request; simulators advance their clock by it.
+    ``chunks`` are the read's bytes in order, as :meth:`LocalCacheManager._walk`
+    produced them: one per page fragment, or per run of pages read past the
+    cache.  A caller that can send pieces (the service's gather write) uses
+    them as they are; ``data`` is their join.  ``latency`` sums modelled
+    page-store and remote latencies for the request; simulators advance
+    their clock by it.
     """
 
-    data: bytes
+    chunks: list[bytes] = field(default_factory=list)
     latency: float = 0.0
     page_hits: int = 0
     page_misses: int = 0
     bytes_from_cache: int = 0
     bytes_from_remote: int = 0
     fallbacks: int = 0
+
+    @property
+    def data(self) -> bytes:
+        """The read's bytes, joined on first access and kept: the chunks
+        become that one join.  A one-chunk read's bytes are the store's (or
+        the source's) own object, never a copy."""
+        chunks = self.chunks
+        if len(chunks) != 1:
+            self.chunks = chunks = [b"".join(chunks)]
+        return chunks[0]
 
     @property
     def fully_cached(self) -> bool:
@@ -205,7 +219,7 @@ class LocalCacheManager:
         try:
             if scope is None:
                 scope = _GLOBAL_SCOPE
-            result = CacheReadResult(b"")
+            result = CacheReadResult()
             file_length = source.file_length(file_id)
             if offset < file_length:
                 self._walk(
@@ -264,6 +278,11 @@ class LocalCacheManager:
         pages after it are one ranged read of the requested bytes.  Without
         a ``source`` (the resident read) a fetch ends the walk with
         ``False``, nothing booked or counted.
+
+        Each fragment's bytes are appended to ``result.chunks`` as the store
+        or the source returned them; nothing here joins them
+        (:attr:`CacheReadResult.data` does, for callers that want one
+        object).
         """
         page_size = self.config.page_size
         timeout = self.config.read_timeout
@@ -274,7 +293,7 @@ class LocalCacheManager:
         # PageId(file_id, index) minus its validating frame: offsets are
         # checked >= 0 on entry, and an empty file id matches no record
         new_page_id = tuple.__new__
-        chunks: list[bytes] = []
+        chunks = result.chunks
         hits: list[tuple[PageInfo, int]] = []  # read, not yet booked
         admitted = None
         while position < end:
@@ -346,8 +365,6 @@ class LocalCacheManager:
             position += take
         if hits:
             self._book_hits(hits, now, result)
-        # a one-page read hands the store's (or the source's) bytes on as is
-        result.data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
         return True
 
     def _fetch(
@@ -432,7 +449,7 @@ class LocalCacheManager:
             return None
         if offset < 0 or length < 0 or not file_id:
             raise ValueError(f"bad read of {file_id!r}: {offset=} {length=}")
-        result = CacheReadResult(b"")
+        result = CacheReadResult()
         if length == 0 or not self._walk(
             file_id, offset, offset + length, self.clock.now(), result
         ):

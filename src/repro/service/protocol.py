@@ -118,7 +118,9 @@ Request = (
 
 @dataclass(frozen=True, slots=True)
 class GetResponse:
-    data: bytes
+    #: a decoded reply's bytes; the server passes a read's chunks as a
+    #: ``list``, which :func:`encode_response` frames without joining
+    data: bytes | list[bytes]
     fully_cached: bool
     page_hits: int
     page_misses: int
@@ -229,14 +231,23 @@ class _Cursor:
             )
 
 
-def _frame(opcode: int, request_id: int, head: bytes = b"", bulk: bytes = b"") -> bytes:
+def _bulk_len(bulk: bytes | list[bytes]) -> int:
+    return sum(map(len, bulk)) if type(bulk) is list else len(bulk)
+
+
+def _frame(
+    opcode: int, request_id: int, head: bytes = b"", bulk: bytes | list[bytes] = b"",
+) -> bytes | list[bytes]:
     """One frame: the small fixed fields in ``head``, a page or a read's
-    data in ``bulk``, which is copied once (by the join) on its way to the
-    socket."""
-    payload_len = _HEADER.size + len(head) + len(bulk)
+    data in ``bulk``.  Bytes are copied once, by the join, into one frame.
+    A list of chunks is not joined: the frame is ``[prefix + head, *bulk]``,
+    for a gather write, and its join is the same bytes."""
+    payload_len = _HEADER.size + len(head) + _bulk_len(bulk)
     if payload_len > MAX_FRAME:
         raise ProtocolError(f"frame too large ({payload_len} bytes)")
     prefix = _PREFIX.pack(payload_len, opcode, request_id)
+    if type(bulk) is list:
+        return [prefix + head, *bulk]
     return b"".join((prefix, head, bulk)) if bulk else prefix + head
 
 
@@ -270,16 +281,19 @@ def encode_request(request: Request, *, request_id: int) -> bytes:
 
 def encode_response(
     response: Response, *, request_id: int, opcode: Opcode | None = None,
-) -> bytes:
+) -> bytes | list[bytes]:
     """Serialize one response into a full frame.
 
-    ``opcode`` is required only for success responses whose type does not
-    determine it (it always does today); errors ignore it.
+    A :class:`GetResponse` whose ``data`` is a list of chunks comes back
+    as the list ``[prefix + head, *chunks]``, whose join is the frame;
+    every other response is the frame's ``bytes``.  ``opcode`` is required
+    only for success responses whose type does not determine it (it
+    always does today); errors ignore it.
     """
     if isinstance(response, GetResponse):
         head = _GET_RESPONSE.pack(
             bool(response.fully_cached), response.page_hits,
-            response.page_misses, len(response.data),
+            response.page_misses, _bulk_len(response.data),
         )
         return _frame(Opcode.GET | _RESPONSE_BIT, request_id, head, response.data)
     if isinstance(response, ErrorResponse):

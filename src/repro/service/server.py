@@ -12,6 +12,9 @@ Design (DESIGN.md §14):
   its reply.
   Which of the two happens is decided by what the engine's store is, never
   by a setting.
+- **GET replies are not copied.**  A read's page chunks are framed as
+  ``[prefix + head, *chunks]`` and leave with one ``os.writev`` on the
+  socket; what it does not take goes to the transport, still in pieces.
 - **Per-connection backpressure.**  A connection stops reading *and*
   stops parsing what it has buffered while ``max_inflight`` of its
   requests are on the pool or its transport is above the write
@@ -35,6 +38,7 @@ import asyncio
 import collections
 import functools
 import json
+import os
 import queue
 import threading
 import time
@@ -62,9 +66,13 @@ from repro.service.protocol import (
 )
 
 
+# the most buffers one writev takes; a longer frame goes in batches
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "writev") else 0
+
+
 def _get_response(result: CacheReadResult) -> GetResponse:
     return GetResponse(
-        data=result.data,
+        data=result.chunks,  # framed and sent as they are, never joined
         fully_cached=result.fully_cached,
         page_hits=result.page_hits,
         page_misses=result.page_misses,
@@ -168,9 +176,13 @@ class _Connection(asyncio.BufferedProtocol):
         self.write_paused = False  # transport above its write high-water mark
         self.eof = False           # the peer will send nothing more
         self.closing = False       # nothing more will be parsed
+        self.fd = -1               # the socket's, for gather writes; -1: none
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
+        sock = transport.get_extra_info("socket")
+        # valid while the transport is not closing: _reply checks that first
+        self.fd = sock.fileno() if sock is not None and hasattr(os, "writev") else -1
         self.server._connections.add(self)
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -290,8 +302,49 @@ class _Connection(asyncio.BufferedProtocol):
             frame = wire.encode_response(
                 ErrorResponse(ErrorCode.TOO_LARGE, str(exc)), request_id=request_id
             )
-        # 3.12's transport keeps what it is given: fresh bytes, never a buffer view
-        self.transport.write(frame)
+        if type(frame) is list:  # a GET's [prefix + head, *chunks]
+            self._send(frame)
+        else:
+            # 3.12's transport keeps what it is given: fresh bytes, never a
+            # view of a buffer that changes
+            self.transport.write(frame)
+
+    def _send(self, frame: list[bytes]) -> None:
+        """Write a GET reply's pieces with one gather write, copying none.
+
+        Only when the transport has nothing buffered, which is asyncio's
+        own send-now rule, so replies keep their order.  What the socket
+        does not take (a short write, ``EAGAIN``, any error) goes to the
+        transport piece by piece: it buffers the tail, or meets the error
+        on its own send and closes the connection through
+        ``connection_lost``.  A piece handed over is the immutable chunk
+        itself or a view of it, never a copy.
+        """
+        transport = self.transport
+        if self.fd < 0:
+            transport.write(b"".join(frame))
+            return
+        sent = 0
+        if not transport.get_write_buffer_size():
+            try:
+                for start in range(0, len(frame), _IOV_MAX):
+                    batch = frame[start : start + _IOV_MAX]
+                    written = os.writev(self.fd, batch)
+                    sent += written
+                    if written < sum(map(len, batch)):
+                        break
+                else:
+                    return
+            except OSError:
+                pass  # the transport's own send repeats it and handles it
+        for piece in frame:
+            if sent >= len(piece):
+                sent -= len(piece)
+                continue
+            transport.write(memoryview(piece)[sent:] if sent else piece)
+            sent = 0
+            if transport.is_closing():
+                return  # that write failed: asyncio closes the connection
 
 
 class CacheServer:

@@ -32,7 +32,7 @@ class TestQueryRuntimeStats:
 
         stats = QueryRuntimeStats("q")
         stats.merge_read(CacheReadResult(
-            data=b"", page_hits=2, page_misses=1,
+            page_hits=2, page_misses=1,
             bytes_from_cache=100, bytes_from_remote=50,
         ))
         assert stats.page_hits == 2

@@ -22,9 +22,9 @@ from repro.service import protocol as wire
 from repro.service.client import AsyncCacheClient
 from repro.service.server import CacheServer
 from repro.storage.remote import ReadResult
+from tests.service.conftest import NOW, run, settle
 from tests.service.rawpeer import open_raw
 
-NOW = WallClock().now  # the sanctioned wall-clock port (monotonic seconds)
 KIB = 1024
 PAGE = 16 * KIB
 FILE_PAGES = 64
@@ -64,54 +64,6 @@ def make_engine(source: SlowSource, *, page: int = PAGE, pages: int = 256) -> Ca
         CacheConfig.small(pages * page, page_size=page),
         source=source, clock=WallClock(),
     )
-
-
-def run(scenario, engine: CacheEngine, **server_kwargs):
-    """Boot a server, run ``scenario(server)``, always drain; the drain
-    summary must be clean unless the scenario says otherwise."""
-
-    async def harness():
-        server = CacheServer(engine, **server_kwargs)
-        await server.start()
-        try:
-            result = await scenario(server)
-        finally:
-            summary = await server.drain(timeout=10.0)
-        return result, summary
-
-    return asyncio.run(harness())
-
-
-async def settle(server: CacheServer, timeout: float = 5.0) -> None:
-    """Wait for the server to notice that its peers are gone."""
-    deadline = NOW() + timeout
-    while server._connections and NOW() < deadline:
-        await asyncio.sleep(0.01)
-
-
-async def assert_baseline(server: CacheServer, workers: int) -> None:
-    """No connection, no window slot, no queued or leaked pool work --
-    and a well-behaved client is served at once."""
-    await settle(server)
-    assert server._connections == set()
-    # what a vanished peer left on the pool runs out (it cannot be recalled)
-    deadline = NOW() + 5.0
-    while server._pool.queued and NOW() < deadline:
-        await asyncio.sleep(0.01)
-    assert server._pool.queued == 0
-    pool_threads = [
-        t for t in threading.enumerate() if t.name.startswith("cache-engine")
-    ]
-    assert len(pool_threads) <= workers
-    client = await AsyncCacheClient.connect(server.host, server.port)
-    try:
-        health = await asyncio.wait_for(client.health(), timeout=5.0)
-        assert health["status"] == "ok"
-        (conn,) = server._connections
-        assert conn.pooled == 0 and conn.transport.is_reading()
-    finally:
-        await client.close()
-    await settle(server)
 
 
 class TestWhoRunsWhere:
@@ -271,6 +223,10 @@ class TestWindow:
 class TestHostilePeers:
     WORKERS = 2
 
+    @pytest.fixture(autouse=True)
+    def _baseline(self, assert_baseline):
+        self.assert_baseline = assert_baseline
+
     def _run(self, attack):
         source = SlowSource()
         engine = make_engine(source)
@@ -286,7 +242,7 @@ class TestHostilePeers:
                     await writer.wait_closed()
                 except ConnectionError:
                     pass  # the server may have reset a hostile peer first
-            await assert_baseline(server, self.WORKERS)
+            await self.assert_baseline(server, self.WORKERS)
             return result
 
         result, summary = run(scenario, engine, executor_workers=self.WORKERS)
@@ -423,7 +379,9 @@ class TestClientCancellation:
 
     WORKERS = 2
 
-    def test_a_cancelled_get_is_forgotten_at_once_and_its_late_reply_dropped(self):
+    def test_a_cancelled_get_is_forgotten_at_once_and_its_late_reply_dropped(
+        self, assert_baseline
+    ):
         source = SlowSource(delay=0.2)
         engine = make_engine(source)
 
