@@ -40,6 +40,7 @@ import functools
 import json
 import os
 import queue
+import sys
 import threading
 import time
 from typing import Any, Callable
@@ -67,7 +68,11 @@ from repro.service.protocol import (
 
 
 # the most buffers one writev takes; a longer frame goes in batches
-_IOV_MAX = os.sysconf("SC_IOV_MAX") if hasattr(os, "writev") else 0
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+# From 3.12 a socket transport buffers the pieces it is given in a deque and
+# sums their lengths on every write(); writelines() queues a list with one
+# sum.  3.11 keeps a bytearray of O(1) length, and its writelines() joins.
+_TRANSPORT_QUEUES_PIECES = sys.version_info >= (3, 12)
 
 
 def _get_response(result: CacheReadResult) -> GetResponse:
@@ -176,13 +181,12 @@ class _Connection(asyncio.BufferedProtocol):
         self.write_paused = False  # transport above its write high-water mark
         self.eof = False           # the peer will send nothing more
         self.closing = False       # nothing more will be parsed
-        self.fd = -1               # the socket's, for gather writes; -1: none
+        self.fd = -1               # the socket's, for gather writes
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
-        sock = transport.get_extra_info("socket")
         # valid while the transport is not closing: _reply checks that first
-        self.fd = sock.fileno() if sock is not None and hasattr(os, "writev") else -1
+        self.fd = transport.get_extra_info("socket").fileno()
         self.server._connections.add(self)
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -315,15 +319,11 @@ class _Connection(asyncio.BufferedProtocol):
         Only when the transport has nothing buffered, which is asyncio's
         own send-now rule, so replies keep their order.  What the socket
         does not take (a short write, ``EAGAIN``, any error) goes to the
-        transport piece by piece: it buffers the tail, or meets the error
-        on its own send and closes the connection through
-        ``connection_lost``.  A piece handed over is the immutable chunk
-        itself or a view of it, never a copy.
+        transport as the immutable chunks themselves or a view of one,
+        never a copy: it buffers them, or meets the error on its own send
+        and closes the connection through ``connection_lost``.
         """
         transport = self.transport
-        if self.fd < 0:
-            transport.write(b"".join(frame))
-            return
         sent = 0
         if not transport.get_write_buffer_size():
             try:
@@ -337,12 +337,23 @@ class _Connection(asyncio.BufferedProtocol):
                     return
             except OSError:
                 pass  # the transport's own send repeats it and handles it
-        for piece in frame:
-            if sent >= len(piece):
-                sent -= len(piece)
-                continue
-            transport.write(memoryview(piece)[sent:] if sent else piece)
-            sent = 0
+        first = 0  # the piece the socket stopped in
+        while sent >= len(frame[first]):
+            sent -= len(frame[first])
+            first += 1
+        tail = frame[first:]
+        if sent:
+            tail[0] = memoryview(tail[0])[sent:]
+        if _TRANSPORT_QUEUES_PIECES:
+            # one pass over the transport's buffer rather than one per
+            # piece; the last piece goes by write(), whose high-water check
+            # 3.12.1's writelines() lacks
+            transport.writelines(tail[:-1])
+            if transport.is_closing():
+                return
+            tail = tail[-1:]
+        for piece in tail:
+            transport.write(piece)
             if transport.is_closing():
                 return  # that write failed: asyncio closes the connection
 

@@ -10,6 +10,7 @@ connection through the transport like any other write error.
 """
 
 import asyncio
+import collections
 import socket
 import struct
 import sys
@@ -126,14 +127,19 @@ class FakeSocket:
 
 
 class FakeTransport:
-    """What ``_Connection._send`` asks of a transport, recorded; a write
-    fails (and closes it, as asyncio's error path does) when ``broken``."""
+    """What ``_Connection._send`` asks of a transport, recorded: ``calls``
+    holds the pieces of each write() or writelines().  A call fails (and
+    closes the transport, as asyncio's error path does) when ``broken``."""
 
     def __init__(self, buffered: int = 0, broken: bool = False) -> None:
         self.buffered = buffered
         self.broken = broken
         self.closing = False
-        self.writes: list = []
+        self.calls: list[list] = []
+
+    @property
+    def writes(self) -> list:
+        return [piece for call in self.calls for piece in call]
 
     def get_extra_info(self, name: str):
         return FakeSocket() if name == "socket" else None
@@ -142,12 +148,25 @@ class FakeTransport:
         return self.buffered
 
     def write(self, data) -> None:
+        self.writelines([data])
+
+    def writelines(self, pieces) -> None:
         assert not self.closing
-        self.writes.append(data)
-        self.closing = self.broken
+        if pieces:
+            self.calls.append(list(pieces))
+            self.closing = self.broken
 
     def is_closing(self) -> bool:
         return self.closing
+
+
+def calls_for(pieces: int) -> list[int]:
+    """How many pieces each transport call takes when ``pieces`` are handed
+    over: on 3.12+ one writelines() and a write() of the last, so the
+    transport sums its buffer twice, not once per piece."""
+    if server_module._TRANSPORT_QUEUES_PIECES and pieces > 1:
+        return [pieces - 1, 1]
+    return [1] * pieces
 
 
 class TestSendRule:
@@ -171,7 +190,7 @@ class TestSendRule:
     def test_all_of_it_in_one_call(self, monkeypatch):
         transport = FakeTransport()
         calls = self._send(monkeypatch, transport, lambda b: sum(map(len, b)))
-        assert calls == [self.FRAME] and transport.writes == []
+        assert calls == [self.FRAME] and transport.calls == []
 
     def test_behind_buffered_bytes_the_transport_sends_it_in_order(self, monkeypatch):
         transport = FakeTransport(buffered=1)
@@ -179,6 +198,7 @@ class TestSendRule:
         assert calls == []  # a direct write would overtake what is buffered
         assert transport.writes == self.FRAME
         assert all(piece is mine for piece, mine in zip(transport.writes, self.FRAME))
+        assert [len(call) for call in transport.calls] == calls_for(4)
 
     def test_a_short_write_hands_over_the_tail_without_a_join(self, monkeypatch):
         transport = FakeTransport()
@@ -188,12 +208,7 @@ class TestSendRule:
         assert len(transport.writes) == 3
         assert transport.writes[0].obj is self.FRAME[1]  # a view, not a copy
         assert transport.writes[1:] == self.FRAME[2:]
-
-    def test_without_a_socket_the_frame_is_joined(self, monkeypatch):
-        transport = FakeTransport()
-        transport.get_extra_info = lambda name: None
-        calls = self._send(monkeypatch, transport, lambda b: sum(map(len, b)))
-        assert calls == [] and transport.writes == [b"".join(self.FRAME)]
+        assert [len(call) for call in transport.calls] == calls_for(3)
 
     @pytest.mark.parametrize("error", [InterruptedError, BlockingIOError, OSError])
     def test_an_error_hands_over_the_whole_frame(self, monkeypatch, error):
@@ -210,7 +225,8 @@ class TestSendRule:
 
         transport = FakeTransport(broken=True)
         self._send(monkeypatch, transport, fail)
-        assert transport.writes == self.FRAME[:1]  # nothing after the closing
+        assert len(transport.calls) == 1  # nothing after the closing
+        assert transport.writes == self.FRAME[: calls_for(4)[0]]
 
 
 class TestShortWrites:
@@ -256,38 +272,78 @@ class TestShortWrites:
 
     def test_a_frame_of_more_than_iov_max_pieces(self, monkeypatch):
         """1 KiB pages, a 2 MiB read: 2 048 chunks and the head, more than
-        one ``writev`` takes, so the frame goes out in batches."""
+        one ``writev`` takes, so the frame goes out in batches.  The peer's
+        small window stops each reply partway, and handing the ~2 000
+        pieces left to the transport walks its buffer a few times, not once
+        per piece (3.12's write() sums the lengths of all it holds)."""
         page = KIB
         pieces = 2 * MIB // page + 1
         assert pieces > server_module._IOV_MAX
         engine = make_engine(page=page, size=2 * MIB)
-        real = server_module.os.writev
-        batches, errors = [], []
+        real_writev = server_module.os.writev
+        batches, short, errors = [], [], []
 
         def writev(fd, buffers):
             batches.append(len(buffers))
             try:
-                return real(fd, buffers)
+                written = real_writev(fd, buffers)
             except OSError as exc:
                 errors.append(exc)
                 raise
+            short.append(written < sum(map(len, buffers)))
+            return written
+
+        transport_class = asyncio.selector_events._SelectorSocketTransport
+        real_size = transport_class.get_write_buffer_size
+        real_send = server_module._Connection._send
+        walked, sending = [], []
+
+        def get_write_buffer_size(transport):
+            if sending:  # what a call costs: 3.12 sums a deque of pieces
+                buffer = transport._buffer
+                walked.append(len(buffer) if isinstance(buffer, collections.deque) else 1)
+            return real_size(transport)
+
+        def send(conn, frame):
+            sending.append(True)
+            try:
+                real_send(conn, frame)
+            finally:
+                sending.clear()
 
         async def scenario(server):
             monkeypatch.setattr(server_module.os, "writev", writev)
-            client = await AsyncCacheClient.connect(server.host, server.port)
+            monkeypatch.setattr(transport_class, "get_write_buffer_size", get_write_buffer_size)
+            monkeypatch.setattr(server_module._Connection, "_send", send)
+            reader, writer = await open_raw(server.host, server.port, rcvbuf=16 * KIB)
+            (conn,) = server._connections
+            # and a small send buffer, so each reply stops partway
+            conn.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 16 * KIB
+            )
             try:
-                miss = await client.get("f", 0, 2 * MIB)  # from the pool
-                hit = await client.get("f", 0, 2 * MIB)   # inline
+                replies = []
+                for request_id in (1, 2):  # a miss from the pool, then a hit
+                    writer.write(wire.encode_request(
+                        wire.GetRequest("f", 0, 2 * MIB), request_id=request_id
+                    ))
+                    replies.append(await reader.next_reply())
             finally:
-                await client.close()
-            return miss, hit
+                writer.close()
+                await writer.wait_closed()
+            await settle(server)
+            return replies
 
-        (miss, hit), summary = run(scenario, engine)
+        replies, summary = run(scenario, engine)
+        assert [rid for rid, _ in replies] == [1, 2]
+        (_, miss), (_, hit) = replies
         assert miss.page_misses == 2048 and hit.page_hits == 2048
         assert miss.data == hit.data == PATTERN[:2 * MIB]
         # writev refuses more than IOV_MAX buffers (EINVAL); none was asked to
         assert batches and max(batches) <= server_module._IOV_MAX
-        assert errors == []
+        assert errors == [] and any(short)
+        # linear in the pieces; one walk per piece would be ~2 million
+        assert sum(walked) <= 4 * 2 * pieces, sum(walked)
         assert summary["clean"] is True
 
 
