@@ -9,7 +9,9 @@ conventions rot.  This package is the tooling that keeps them honest:
 
 - :mod:`repro.devtools.rules` -- the pattern rule set (``DET*``
   determinism, ``ERR*`` error accounting, ``MET*`` metric hygiene,
-  ``SIM*`` simulation purity, ``API*``/``LOG*`` general hygiene),
+  ``SIM*`` simulation purity, ``API*``/``LOG*`` general hygiene), and the
+  :class:`Rule` base whose ``include``/``allow`` path prefixes scope each
+  rule (an ``allow`` entry is a *documented exception*, and the only one),
 - :mod:`repro.devtools.kernelcheck` -- flow-aware concurrency rules
   over kernel process generators (``KRN001``-``KRN004``: stale shared
   writes across yield points, leaked resource/process handles,
@@ -18,35 +20,22 @@ conventions rot.  This package is the tooling that keeps them honest:
   architecture contracts declared as data (``ARC001``-``ARC003``:
   forbidden layer imports, unsanctioned deferred imports, module
   cycles),
-- :mod:`repro.devtools.driver` -- a single-parse AST driver that runs
-  every applicable rule over every file and honours inline
-  ``replint: disable=<ID>`` suppressions (unused ones are findings,
-  ``SUP001``),
-- :mod:`repro.devtools.config` -- per-rule path scoping and per-path
-  allowlists (an allowlist entry is a *documented exception*, not an
-  escape hatch),
-- :mod:`repro.devtools.baseline` -- fingerprint-based baselines so the
-  gate can be adopted before every legacy finding is fixed,
-- :mod:`repro.devtools.reporters` -- human (text) and machine (JSON,
-  SARIF 2.1.0) output,
-- :mod:`repro.devtools.lint` -- the CLI:
-  ``python -m repro.devtools.lint src tests benchmarks``
-  (``--changed-only`` for the pre-commit loop, ``--format sarif
-  --output replint.sarif`` for the CI artifact).
+- :mod:`repro.devtools.driver` -- the rule registry and a single-parse
+  AST driver that runs every applicable rule over every file,
+- :mod:`repro.devtools.lint` -- the text CLI:
+  ``python -m repro.devtools.lint src tests benchmarks``.
 
 The analyzer is gated by its own corpus: seeded bugs under
 ``tests/devtools/replint_fixtures/`` must be found exactly, and the
-real tree must stay clean with suppressions ignored
-(``tests/devtools/test_corpus.py``).
+real tree must stay clean (``tests/devtools/test_corpus.py``).
 
 The runtime half of the suite -- the determinism sanitizer that replays a
 scenario twice and diffs the event-sequence hash -- lives in
 :mod:`repro.sim.sanitizer`; CI runs both.
 """
 
-from repro.devtools.config import LintConfig
-from repro.devtools.driver import LintDriver
+from repro.devtools.driver import LintDriver, default_rules
 from repro.devtools.findings import Finding
-from repro.devtools.rules import ALL_RULES, Rule
+from repro.devtools.rules import Rule
 
-__all__ = ["ALL_RULES", "Finding", "LintConfig", "LintDriver", "Rule"]
+__all__ = ["Finding", "LintDriver", "Rule", "default_rules"]

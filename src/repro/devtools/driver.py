@@ -8,33 +8,71 @@ one deterministic report.  Syntax errors are findings too (rule
 ``PARSE``), not crashes -- a file the linter cannot read is a file no rule
 has vetted.
 
-Inline suppressions: a ``replint: disable=<ID>`` (or ``disable=<ID>,<ID>``)
-comment on the offending line silences those rules for that line only.
-Every suppression must earn its keep -- one that matches no finding is
-itself reported as ``SUP001``, so stale disables cannot accumulate.
-``PARSE`` and ``SUP001`` are not suppressible.
+It also holds the rule registry, :func:`default_rules`.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import Iterable
 
-from repro.devtools.config import LintConfig
 from repro.devtools.findings import Finding, sort_findings
-from repro.devtools.rules import Rule, default_rules
+from repro.devtools.graph import (
+    DeferredImportHookRule,
+    ImportContractRule,
+    ImportCycleRule,
+)
+from repro.devtools.kernelcheck import (
+    BlockingCallInProcessRule,
+    LeakedHandleRule,
+    StaleSharedWriteRule,
+    UniteratedProcessRule,
+)
+from repro.devtools.rules import (
+    AccountedExceptRule,
+    MetricNameRule,
+    NoClockAdvanceRule,
+    NoMutableDefaultRule,
+    NoPrintRule,
+    NoWallClockRule,
+    RingMutationRule,
+    Rule,
+    SeededRngRule,
+    SetOrderRule,
+    SimPurityRule,
+    SpanLifecycleRule,
+)
 
 _SKIP_DIRS = {
     "__pycache__", ".git", ".hypothesis", "repro.egg-info", ".pytest_cache",
     "replint_fixtures",  # seeded-bug corpus: linted only as explicit targets
 }
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*replint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
-)
-_UNSUPPRESSIBLE = {"PARSE", "SUP001"}
+
+def default_rules() -> list[Rule]:
+    """Fresh instances of every rule (MET001, KRN003, and the ARC family
+    carry cross-file state)."""
+    return [
+        NoWallClockRule(),
+        SeededRngRule(),
+        SetOrderRule(),
+        AccountedExceptRule(),
+        MetricNameRule(),
+        SimPurityRule(),
+        NoClockAdvanceRule(),
+        NoMutableDefaultRule(),
+        NoPrintRule(),
+        SpanLifecycleRule(),
+        RingMutationRule(),
+        StaleSharedWriteRule(),
+        LeakedHandleRule(),
+        UniteratedProcessRule(),
+        BlockingCallInProcessRule(),
+        ImportContractRule(),
+        DeferredImportHookRule(),
+        ImportCycleRule(),
+    ]
 
 
 def collect_files(targets: Iterable[str | Path], root: Path) -> list[Path]:
@@ -61,53 +99,27 @@ def relative_posix(path: Path, root: Path) -> str:
         return path.resolve().as_posix()
 
 
-def parse_suppressions(lines: list[str]) -> dict[int, set[str]]:
-    """``replint: disable=<ID>[,<ID>...]`` comments -> {lineno: {rule ids}}."""
-    suppressions: dict[int, set[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match is not None:
-            ids = {part.strip() for part in match.group(1).split(",")}
-            suppressions[lineno] = ids - {""}
-    return suppressions
-
-
 class LintDriver:
-    """One lint run: rules + config over a set of targets.
-
-    ``respect_suppressions=False`` ignores inline ``replint: disable``
-    comments -- the mode the corpus/acceptance tests use to prove the
-    tree is clean *without* escape hatches.
-    """
+    """One lint run: rules over a set of targets, paths relative to ``root``
+    (default: the working directory)."""
 
     def __init__(
         self,
         *,
         rules: list[Rule] | None = None,
-        config: LintConfig | None = None,
         root: Path | None = None,
-        respect_suppressions: bool = True,
     ) -> None:
         self.rules = rules if rules is not None else default_rules()
-        self.config = config if config is not None else LintConfig()
         self.root = (root if root is not None else Path.cwd()).resolve()
-        self.respect_suppressions = respect_suppressions
         self.files_checked = 0
-        self.inline_suppressed = 0
 
     def run(self, targets: Iterable[str | Path]) -> list[Finding]:
         """Lint ``targets``; returns every finding, deterministically ordered."""
         findings: list[Finding] = []
-        active = [r for r in self.rules if self.config.rule_enabled(r)]
         self.files_checked = 0
-        self.inline_suppressed = 0
-        # path -> {lineno: ids}; ids still unused shrink as findings match
-        suppressions: dict[str, dict[int, set[str]]] = {}
-        unused: dict[str, dict[int, set[str]]] = {}
-        suppression_lines: dict[str, list[str]] = {}
         for file in collect_files(targets, self.root):
             rel = relative_posix(file, self.root)
-            applicable = [r for r in active if self.config.applies(r, rel)]
+            applicable = [r for r in self.rules if r.applies(rel)]
             if not applicable:
                 continue
             source = file.read_text(encoding="utf-8")
@@ -128,64 +140,10 @@ class LintDriver:
                     )
                 )
                 continue
-            if self.respect_suppressions:
-                per_file = parse_suppressions(lines)
-                if per_file:
-                    suppressions[rel] = per_file
-                    unused[rel] = {n: set(ids) for n, ids in per_file.items()}
-                    suppression_lines[rel] = lines
             for rule in applicable:
-                for finding in rule.check(tree, rel, lines):
-                    if not self._suppress(finding, suppressions, unused):
-                        findings.append(finding)
-        for rule in active:
-            for finding in rule.finish():
-                if not self.config.applies(rule, finding.path):
-                    continue
-                if not self._suppress(finding, suppressions, unused):
-                    findings.append(finding)
-        for rel in sorted(unused):
-            file_lines = suppression_lines.get(rel, [])
-            for lineno in sorted(unused[rel]):
-                for rule_id in sorted(unused[rel][lineno]):
-                    snippet = (
-                        file_lines[lineno - 1].strip()
-                        if 0 < lineno <= len(file_lines) else ""
-                    )
-                    findings.append(
-                        Finding(
-                            rule_id="SUP001",
-                            path=rel,
-                            line=lineno,
-                            col=0,
-                            message=(
-                                f"unused suppression: no {rule_id} finding "
-                                "on this line"
-                            ),
-                            hint="delete the stale `replint: disable` "
-                            "comment (or fix the id it names)",
-                            snippet=snippet,
-                        )
-                    )
+                findings.extend(rule.check(tree, rel, lines))
+        for rule in self.rules:
+            findings.extend(
+                f for f in rule.finish() if rule.applies(f.path)
+            )
         return sort_findings(findings)
-
-    def _suppress(
-        self,
-        finding: Finding,
-        suppressions: dict[str, dict[int, set[str]]],
-        unused: dict[str, dict[int, set[str]]],
-    ) -> bool:
-        if finding.rule_id in _UNSUPPRESSIBLE:
-            return False
-        ids = suppressions.get(finding.path, {}).get(finding.line, ())
-        if finding.rule_id not in ids:
-            return False
-        self.inline_suppressed += 1
-        remaining = unused.get(finding.path, {}).get(finding.line)
-        if remaining is not None:
-            remaining.discard(finding.rule_id)
-            if not remaining:
-                del unused[finding.path][finding.line]
-                if not unused[finding.path]:
-                    del unused[finding.path]
-        return True

@@ -1,15 +1,11 @@
-"""Lint findings: what a rule reports and how a baseline identifies it.
+"""Lint findings: what a rule reports.
 
 A finding pins a rule violation to ``file:line`` and carries a fix hint so
 the CI failure message is actionable without opening the linter's source.
-The baseline fingerprint deliberately excludes the line *number* (it hashes
-the line's stripped text instead) so that unrelated edits above a baselined
-finding do not resurrect it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -25,8 +21,7 @@ class Finding:
         message: what is wrong, in one sentence.
         hint: how to fix it (or how to allowlist it, for sanctioned
             exceptions).
-        snippet: the stripped source line, used for fingerprinting and
-            shown by the text reporter.
+        snippet: the stripped source line, shown in the text report.
     """
 
     rule_id: str
@@ -39,27 +34,6 @@ class Finding:
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
-
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: ``(path, rule, line text)``.
-
-        Two findings of the same rule on identical source lines in one
-        file share a fingerprint; a baseline entry therefore suppresses
-        all of them, which errs on the forgiving side.
-        """
-        payload = f"{self.path}::{self.rule_id}::{self.snippet}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-            "fingerprint": self.fingerprint(),
-        }
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

@@ -14,8 +14,10 @@ sites, each classified as top-level, deferred-to-call-time, or
 - ``repro.devtools`` vets the system and therefore must not import it;
 - ``repro.presto`` reaches ``repro.cluster`` only through the sanctioned
   runtime hook (``PrestoCluster.create`` deferring to
-  ``repro.cluster.membership``) -- the generalization of the one-off
-  CHN001 "no direct ring mutation" rule to the import layer;
+  ``repro.cluster.membership``).  This is the import-layer companion of
+  the call-level CHN001 "no direct ring mutation" rule, not a
+  replacement: a presto-internal ``self.ring.add_node(...)`` needs no
+  forbidden import, so only CHN001 sees it;
 - ``repro.errors`` is a leaf module of shared exception types.
 
 Three rules report violations: ``ARC001`` (top-level forbidden import),

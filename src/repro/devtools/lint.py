@@ -3,62 +3,39 @@
 Usage::
 
     python -m repro.devtools.lint src tests benchmarks
-    python -m repro.devtools.lint src --format sarif --output replint.sarif
-    python -m repro.devtools.lint src --changed-only --diff-base origin/main
-    python -m repro.devtools.lint src tests benchmarks --write-baseline
-    python -m repro.devtools.lint --list-rules
 
-Exit codes: 0 clean (no non-baselined findings), 1 findings, 2 usage /
-config errors.  CI runs the SARIF form against the committed (empty)
-baseline; a single stray ``time.time()`` in ``src/repro/`` fails the job.
-``--changed-only`` narrows the run to files ``git diff`` (plus untracked
-files) reports against ``--diff-base`` -- the fast pre-commit loop.
-Whole-program rules (``KRN003``, the ``ARC`` family) still see only the
-selected files in that mode; the full run remains the authority.
+Targets are files or directories, relative to the working directory (the
+repo root).  Exit codes: 0 no findings, 1 findings, 2 no targets given.
+CI runs exactly the command above; a single stray ``time.time()`` in
+``src/repro/`` fails the job.  To exempt code from a rule, add a
+documented entry to that rule's ``allow`` tuple in
+:mod:`repro.devtools.rules`.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
-from pathlib import Path
 
-from repro.devtools.baseline import load_baseline, split_by_baseline, write_baseline
-from repro.devtools.config import LintConfig
 from repro.devtools.driver import LintDriver
-from repro.devtools.reporters import REPORTERS, render_text
-
-DEFAULT_BASELINE = ".replint-baseline.json"
+from repro.devtools.findings import Finding, sort_findings
 
 
-def changed_python_files(root: Path, base: str) -> list[str]:
-    """Repo-relative ``.py`` paths changed vs ``base``, plus untracked ones.
-
-    Raises :class:`RuntimeError` when git cannot answer (not a repo, bad
-    base ref) -- the CLI maps that to exit code 2.
-    """
-
-    def git(*args: str) -> list[str]:
-        proc = subprocess.run(
-            ["git", *args], cwd=root, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
-            raise RuntimeError(
-                f"git {' '.join(args)} failed: "
-                f"{detail[0] if detail else 'unknown error'}"
-            )
-        return proc.stdout.splitlines()
-
-    names = set(git("diff", "--name-only", base, "--"))
-    names.update(git("ls-files", "--others", "--exclude-standard"))
-    return sorted(n for n in names if n.endswith(".py"))
-
-
-def _under_targets(path: str, targets: list[str]) -> bool:
-    prefixes = [Path(t).as_posix().rstrip("/") for t in targets]
-    return any(path == p or path.startswith(p + "/") for p in prefixes)
+def render_text(findings: list[Finding], *, files_checked: int = 0) -> str:
+    """``path:line:col RULE message`` per finding (clickable in editors and
+    CI logs), then the offending source line and the fix hint; last, the
+    summary line."""
+    lines: list[str] = []
+    for finding in sort_findings(findings):
+        lines.append(f"{finding.location()} {finding.rule_id} {finding.message}")
+        if finding.snippet:
+            lines.append(f"    | {finding.snippet}")
+        if finding.hint:
+            lines.append(f"    = hint: {finding.hint}")
+    lines.append(
+        f"replint: {len(findings)} finding(s) in {files_checked} file(s)"
+    )
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,119 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
         "targets", nargs="*", default=[],
         help="files or directories to lint (e.g. src tests benchmarks)",
     )
-    parser.add_argument(
-        "--format", choices=sorted(REPORTERS), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--config", default=None,
-        help="JSON config extending per-rule allowlists / scopes",
-    )
-    parser.add_argument(
-        "--root", default=None,
-        help="repo root for path normalization (default: cwd)",
-    )
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="lint only files git reports changed vs --diff-base "
-        "(plus untracked files), intersected with the targets",
-    )
-    parser.add_argument(
-        "--diff-base", default="HEAD",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--output", default=None,
-        help="also write the formatted report to this file "
-        "(stdout keeps the text report)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule table and exit",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    root = Path(args.root) if args.root else Path.cwd()
-
-    try:
-        config = LintConfig.load(args.config) if args.config else LintConfig()
-    except (OSError, ValueError) as exc:
-        print(f"replint: bad config: {exc}", file=sys.stderr)
-        return 2
-
-    if args.list_rules:
-        for row in config.describe():
-            state = "on " if row["enabled"] else "off"
-            print(f"{row['rule']}  [{state}]  {row['description']}")
-            print(f"         include: {', '.join(row['include'])}")
-            if row["allow"]:
-                print(f"         allow:   {', '.join(row['allow'])}")
-        return 0
-
     if not args.targets:
         print("replint: no targets given (try: src tests benchmarks)",
               file=sys.stderr)
         return 2
-
-    targets: list[str] = list(args.targets)
-    if args.changed_only:
-        try:
-            changed = changed_python_files(root, args.diff_base)
-        except RuntimeError as exc:
-            print(f"replint: {exc}", file=sys.stderr)
-            return 2
-        targets = [
-            name for name in changed
-            if _under_targets(name, args.targets) and (root / name).exists()
-        ]
-        if not targets:
-            print(
-                f"replint: no changed python files under "
-                f"{', '.join(args.targets)} (vs {args.diff_base})"
-            )
-            return 0
-
-    driver = LintDriver(config=config, root=root)
-    findings = driver.run(targets)
-
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    if args.write_baseline:
-        count = write_baseline(baseline_path, findings)
-        print(f"replint: wrote {count} finding(s) to {baseline_path}")
-        return 0
-
-    try:
-        baselined = load_baseline(baseline_path)
-    except ValueError as exc:
-        print(f"replint: {exc}", file=sys.stderr)
-        return 2
-    new, suppressed = split_by_baseline(findings, baselined)
-
-    suppressed_count = len(suppressed) + driver.inline_suppressed
-    report = REPORTERS[args.format](
-        new, suppressed=suppressed_count, files_checked=driver.files_checked
-    )
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-        if args.format != "text":
-            report = render_text(
-                new,
-                suppressed=suppressed_count,
-                files_checked=driver.files_checked,
-            )
-    print(report)
-    return 1 if new else 0
+    driver = LintDriver()
+    findings = driver.run(args.targets)
+    print(render_text(findings, files_checked=driver.files_checked))
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -36,12 +36,12 @@ _ACCOUNTING_CALL_ATTRS = {"inc", "record_error"}
 
 
 class Rule:
-    """Base class: one lint rule with a stable id and a default scope.
+    """Base class: one lint rule with a stable id and a scope.
 
-    Subclasses set :attr:`rule_id`, :attr:`description`, and the default
-    ``include``/``allow`` path prefixes (overridable via
-    :class:`~repro.devtools.config.LintConfig`), and implement
-    :meth:`check`.
+    Subclasses set :attr:`rule_id`, :attr:`description`, and the
+    ``include``/``allow`` path prefixes, and implement :meth:`check`.
+    ``allow`` is the one way to exempt code from a rule: each entry is a
+    documented exception, reviewed as a diff to this file.
     """
 
     rule_id: str = ""
@@ -50,6 +50,17 @@ class Rule:
     include: tuple[str, ...] = ("src/repro", "benchmarks", "tests")
     #: path prefixes/files exempt from the rule -- documented exceptions
     allow: tuple[str, ...] = ()
+
+    def applies(self, path: str) -> bool:
+        """Is ``path`` under :attr:`include` and not under :attr:`allow`?
+
+        Entries match as path prefixes on repo-relative posix paths: a
+        directory entry covers everything under it, a file entry only
+        that file.
+        """
+        return _matches_prefix(path, self.include) and not _matches_prefix(
+            path, self.allow
+        )
 
     def check(self, tree: ast.AST, path: str, lines: list[str]) -> Iterator[Finding]:
         """Yield findings for one file.  ``lines`` is the file's source."""
@@ -73,6 +84,13 @@ class Rule:
             rule_id=self.rule_id, path=path, line=line, col=col,
             message=message, hint=hint, snippet=snippet,
         )
+
+
+def _matches_prefix(path: str, prefixes: tuple[str, ...]) -> bool:
+    return any(
+        path == prefix or path.startswith(prefix.rstrip("/") + "/")
+        for prefix in prefixes
+    )
 
 
 def _attr_chain(node: ast.AST) -> str | None:
@@ -702,55 +720,3 @@ class RingMutationRule(Rule):
                     "and warmup stay complete",
                     lines,
                 )
-
-
-def default_rules() -> list[Rule]:
-    """Fresh instances of every rule (MET001, KRN003, and the ARC family
-    carry cross-file state).
-
-    The flow-aware rule families live in their own modules and need the
-    :class:`Rule` base defined here, so their imports are call-time
-    locals -- by the first ``default_rules()`` call both modules load
-    cleanly regardless of which one the caller imported first.
-    """
-    from repro.devtools.graph import (
-        DeferredImportHookRule,
-        ImportContractRule,
-        ImportCycleRule,
-    )
-    from repro.devtools.kernelcheck import (
-        BlockingCallInProcessRule,
-        LeakedHandleRule,
-        StaleSharedWriteRule,
-        UniteratedProcessRule,
-    )
-
-    return [
-        NoWallClockRule(),
-        SeededRngRule(),
-        SetOrderRule(),
-        AccountedExceptRule(),
-        MetricNameRule(),
-        SimPurityRule(),
-        NoClockAdvanceRule(),
-        NoMutableDefaultRule(),
-        NoPrintRule(),
-        SpanLifecycleRule(),
-        RingMutationRule(),
-        StaleSharedWriteRule(),
-        LeakedHandleRule(),
-        UniteratedProcessRule(),
-        BlockingCallInProcessRule(),
-        ImportContractRule(),
-        DeferredImportHookRule(),
-        ImportCycleRule(),
-    ]
-
-
-def __getattr__(name: str):
-    # ALL_RULES stays importable (`from repro.devtools.rules import
-    # ALL_RULES`) but is materialized lazily, after the kernelcheck/graph
-    # modules can import the Rule base from this one.
-    if name == "ALL_RULES":
-        return tuple(type(rule) for rule in default_rules())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

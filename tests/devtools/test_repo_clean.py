@@ -3,34 +3,23 @@
 CI runs ``python -m repro.devtools.lint src tests benchmarks`` as its own
 job, but running the same check from the test suite means a violation
 fails *every* local ``pytest`` run too -- nobody needs to remember the
-extra command.  The committed baseline is empty: every finding the rules
-surfaced was fixed, not suppressed.
+extra command.  Every finding the rules surfaced was fixed at the source.
 """
 
 from pathlib import Path
 
 import repro
-from repro.devtools.baseline import load_baseline, split_by_baseline
 from repro.devtools.driver import LintDriver
-from repro.devtools.lint import DEFAULT_BASELINE
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 
 class TestRepoLintsClean:
-    def test_zero_non_baselined_findings(self):
+    def test_zero_findings(self):
         driver = LintDriver(root=REPO_ROOT)
         findings = driver.run(["src", "tests", "benchmarks"])
-        baselined = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
-        new, __ = split_by_baseline(findings, baselined)
-        assert new == [], "\n".join(
-            f"{f.location()} {f.rule_id} {f.message}" for f in new
+        assert findings == [], "\n".join(
+            f"{f.location()} {f.rule_id} {f.message}" for f in findings
         )
         # sanity: the run actually looked at the codebase
         assert driver.files_checked > 150
-
-    def test_committed_baseline_is_empty(self):
-        """The baseline mechanism exists for future rules; today every
-        finding is fixed at the source.  If this test fails, fix the new
-        finding instead of baselining it."""
-        assert load_baseline(REPO_ROOT / DEFAULT_BASELINE) == frozenset()

@@ -5,7 +5,6 @@ import ast
 
 import pytest
 
-from repro.devtools.config import LintConfig
 from repro.devtools.rules import (
     AccountedExceptRule,
     MetricNameRule,
@@ -321,14 +320,11 @@ class TestCHN001RingMutation:
     def test_scope_excludes_cluster_and_ring_itself(self):
         """The rule covers presto domain code only: the ring implementation
         and the sanctioned repro.cluster write path stay out of scope."""
-        from repro.devtools.config import LintConfig
-
-        config = LintConfig()
         rule = RingMutationRule()
-        assert config.applies(rule, "src/repro/presto/coordinator.py")
-        assert not config.applies(rule, "src/repro/presto/hashring.py")
-        assert not config.applies(rule, "src/repro/cluster/membership.py")
-        assert not config.applies(rule, "tests/presto/test_hashring.py")
+        assert rule.applies("src/repro/presto/coordinator.py")
+        assert not rule.applies("src/repro/presto/hashring.py")
+        assert not rule.applies("src/repro/cluster/membership.py")
+        assert not rule.applies("tests/presto/test_hashring.py")
 
 
 class TestDET001HostClockAllowlist:
@@ -345,9 +341,8 @@ class TestDET001HostClockAllowlist:
         assert findings[0].rule_id == "DET001"
 
     def test_hostclock_module_is_allowlisted(self):
-        config = LintConfig()
         rule = NoWallClockRule()
-        assert not config.applies(rule, "src/repro/sim/hostclock.py")
+        assert not rule.applies("src/repro/sim/hostclock.py")
 
     @pytest.mark.parametrize("path", [
         "src/repro/sim/kernel.py",
@@ -356,8 +351,7 @@ class TestDET001HostClockAllowlist:
         "src/repro/sim/hostclock_helpers.py",  # prefix match is exact-file
     ])
     def test_everywhere_else_still_in_scope(self, path):
-        config = LintConfig()
         rule = NoWallClockRule()
-        assert config.applies(rule, path)
+        assert rule.applies(path)
         code = "import time\nx = time.perf_counter()"
         assert len(run_rule(rule, code, path=path)) == 1
