@@ -243,7 +243,6 @@ class TestKernelPerfLadder:
         clock = SimClock()
         profiler = KernelProfiler(clock)
         registry = MetricsRegistry()
-        registry.enable_gauge_history(512)
         __, kernel, sampler = run_rung(
             LADDER[0], SEED, clock=clock, profiler=profiler,
             registry=registry, sampler_interval=0.05,

@@ -61,8 +61,8 @@ def mean_of(series: Iterable[float]) -> float:
 class RingSeries:
     """A bounded ``(timestamp, value)`` time series that drops the oldest.
 
-    Backing store for continuous telemetry: gauge history and the kernel
-    telemetry sampler append one point per sampling tick, and a soak that
+    Backing store for continuous telemetry: the kernel telemetry sampler
+    appends one point per metric per sampling tick, and a soak that
     runs for a million virtual seconds must not grow memory without bound.
     ``dropped`` counts evictions so consumers can tell a complete series
     from a truncated one.
@@ -99,29 +99,3 @@ class RingSeries:
     def last(self) -> tuple[float, float] | None:
         """Most recent point, or None when empty."""
         return self._points[-1] if self._points else None
-
-    def merge(self, other: "RingSeries") -> "RingSeries":
-        """Merge two series into a new one (timestamp order, stable sort).
-
-        Merge-safe snapshotting: per-node registries keep their own
-        histories; an aggregate view interleaves them without mutating
-        either side.  The result's capacity is the larger of the two and
-        the newest points win when the merge overflows it.
-        """
-        merged = RingSeries(max(self.capacity, other.capacity))
-        points = sorted(self.items() + other.items(), key=lambda tv: tv[0])
-        overflow = len(points) - merged.capacity
-        if overflow > 0:
-            points = points[overflow:]
-        merged._points.extend(points)
-        merged.dropped = max(overflow, 0) + self.dropped + other.dropped
-        return merged
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot (sorted-key friendly; no numpy types)."""
-        return {
-            "capacity": self.capacity,
-            "dropped": self.dropped,
-            "times": self.timestamps(),
-            "values": self.values(),
-        }

@@ -24,7 +24,6 @@ from repro.core.admission.filters import (
 )
 from repro.core.admission.rate_limiter import BucketTimeRateLimit
 from repro.core.admission.shadow import ShadowCache
-from repro.core.admission.tinylfu import CountMinSketch, TinyLfuAdmission
 
 __all__ = [
     "AdmissionPolicy",
@@ -36,6 +35,4 @@ __all__ = [
     "parse_filter_rules",
     "BucketTimeRateLimit",
     "ShadowCache",
-    "CountMinSketch",
-    "TinyLfuAdmission",
 ]

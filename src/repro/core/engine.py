@@ -8,10 +8,7 @@ Those arrive as injected ports (:mod:`repro.ports`):
 - ``clock`` -- a :class:`~repro.ports.clock.SimClock` under the
   virtual-time kernel, a :class:`~repro.ports.clock.WallClock` behind the
   asyncio service;
-- ``scheduler`` -- whoever rearms the periodic TTL sweep (kernel timers or
-  an asyncio loop);
-- ``executor`` -- where blocking page-store IO runs (inline for the
-  simulator, a thread pool for the service);
+- ``scheduler`` -- whoever rearms the periodic TTL sweep (kernel timers);
 - ``source`` -- the read-through :class:`~repro.storage.remote.DataSource`
   (synthetic/simulated remotes, or a real socket client such as
   :class:`~repro.service.client.RemoteCacheDataSource`).
@@ -34,7 +31,7 @@ from repro.core.metrics_export import to_json_dict, to_prometheus_text
 from repro.core.page import PageId
 from repro.core.scope import CacheScope
 from repro.ports.clock import Clock, SimClock
-from repro.ports.concurrency import ExecutorPort, InlineExecutor, SchedulerPort
+from repro.ports.concurrency import SchedulerPort
 from repro.ports.rng import RngStream
 
 if TYPE_CHECKING:
@@ -60,8 +57,6 @@ class CacheEngine:
             embeds that never sweep TTLs work fine with frozen time).
         scheduler: when supplied, the TTL sweep is registered on it at
             ``config.ttl_check_interval``.
-        executor: where :meth:`submit` runs work; defaults to
-            :class:`InlineExecutor`.
         page_store / admission / quota / metrics / rng: forwarded to
             :class:`LocalCacheManager` untouched.
     """
@@ -73,7 +68,6 @@ class CacheEngine:
         source: DataSource | None = None,
         clock: Clock | None = None,
         scheduler: SchedulerPort | None = None,
-        executor: ExecutorPort | None = None,
         page_store: Any = None,
         admission: Any = None,
         quota: Any = None,
@@ -81,9 +75,6 @@ class CacheEngine:
         rng: RngStream | None = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.executor: ExecutorPort = (
-            executor if executor is not None else InlineExecutor()
-        )
         self.source = source
         self.manager = LocalCacheManager(
             config,
@@ -195,10 +186,6 @@ class CacheEngine:
     def ttl_sweep(self) -> int:
         """Expire TTL-overdue pages; transports schedule this periodically."""
         return self.manager.ttl_sweep()
-
-    def submit(self, fn: Any, /, *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn`` on the injected executor port."""
-        return self.executor.submit(fn, *args, **kwargs)
 
     # ------------------------------------------------------------ observation
 

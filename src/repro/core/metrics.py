@@ -25,7 +25,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.analysis.timeseries import RingSeries
 from repro.ports.rng import RngStream
 
 
@@ -74,15 +73,12 @@ class Gauge(_ExemplarRing):
     ``device_queue_depth`` can be chased to the blocked read's trace.
     """
 
-    __slots__ = ("value", "_exemplars", "_exemplar_seen", "_history")
+    __slots__ = ("value", "_exemplars", "_exemplar_seen")
 
     def __init__(self) -> None:
         self.value = 0.0
         self._exemplars: list[tuple[float, str]] = []
         self._exemplar_seen = 0
-        # optional sampled history (continuous telemetry); None keeps the
-        # default gauge at last-value-only with zero extra memory
-        self._history: RingSeries | None = None
 
     def set(self, value: float, exemplar: str | None = None) -> None:
         self.value = value
@@ -92,26 +88,6 @@ class Gauge(_ExemplarRing):
     def add(self, delta: float) -> None:
         self.value += delta
 
-    # -- sampled history ----------------------------------------------------
-
-    def enable_history(self, capacity: int = 1024) -> RingSeries:
-        """Attach a bounded sampled history (idempotent; keeps points)."""
-        if self._history is None:
-            self._history = RingSeries(capacity)
-        return self._history
-
-    @property
-    def history(self) -> RingSeries | None:
-        return self._history
-
-    def sample(self, timestamp: float) -> None:
-        """Record the current value at ``timestamp`` (no-op when disabled).
-
-        Called by a periodic sampler on the *virtual* clock, never a wall
-        clock -- histories stay deterministic.
-        """
-        if self._history is not None:
-            self._history.append(timestamp, self.value)
 
 class Histogram(_ExemplarRing):
     """Observations with exact count/total/mean and bounded storage.
@@ -334,9 +310,6 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._errors: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        # 0 = history off; >0 = capacity applied to every gauge, including
-        # gauges lazily created after enable_gauge_history() was called
-        self._gauge_history_capacity = 0
 
     # -- primitives ---------------------------------------------------------
 
@@ -347,37 +320,8 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         if name not in self._gauges:
-            gauge = Gauge()
-            if self._gauge_history_capacity:
-                gauge.enable_history(self._gauge_history_capacity)
-            self._gauges[name] = gauge
+            self._gauges[name] = Gauge()
         return self._gauges[name]
-
-    def enable_gauge_history(self, capacity: int = 1024) -> None:
-        """Give every gauge (current and future) a bounded sampled history."""
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._gauge_history_capacity = capacity
-        for gauge in self._gauges.values():
-            gauge.enable_history(capacity)
-
-    def sample_gauges(self, timestamp: float) -> None:
-        """Record every history-enabled gauge's current value at ``timestamp``."""
-        for gauge in self._gauges.values():
-            gauge.sample(timestamp)
-
-    def gauge_history_snapshot(self) -> dict[str, dict]:
-        """Merge-safe copy of every history-enabled gauge's time series.
-
-        Plain ``{name: {capacity, dropped, times, values}}`` dicts -- the
-        caller can ship, JSON-encode, or merge them without holding a
-        reference into this registry's live state.
-        """
-        return {
-            name: gauge.history.to_dict()
-            for name, gauge in sorted(self._gauges.items())
-            if gauge.history is not None
-        }
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:
@@ -478,19 +422,6 @@ class AggregatedMetrics:
                 for error_type, count in types.items():
                     merged[op][error_type] += count
         return {op: dict(types) for op, types in merged.items()}
-
-    def merged_gauge_history(self, name: str) -> RingSeries:
-        """Interleave one gauge's sampled history across the fleet.
-
-        Registries without a history for ``name`` contribute nothing; the
-        merge never mutates any per-node series (merge-safe snapshots).
-        """
-        merged = RingSeries(1)
-        for registry in self._registries:
-            gauge = registry._gauges.get(name)
-            if gauge is not None and gauge.history is not None:
-                merged = merged.merge(gauge.history)
-        return merged
 
     def per_node_hit_ratios(self) -> list[float]:
         return [r.hit_ratio for r in self._registries]

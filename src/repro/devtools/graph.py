@@ -38,9 +38,9 @@ from repro.devtools.rules import Rule
 _PROJECT_ROOT_PACKAGE = "repro"
 
 _DOMAIN_PACKAGES = (
-    "repro.analysis", "repro.cluster", "repro.core", "repro.fuse",
-    "repro.hdfs_cache", "repro.presto", "repro.resilience", "repro.service",
-    "repro.storage", "repro.tools", "repro.workload",
+    "repro.analysis", "repro.cluster", "repro.core", "repro.hdfs_cache",
+    "repro.presto", "repro.resilience", "repro.service", "repro.storage",
+    "repro.tools", "repro.workload",
 )
 
 
@@ -449,10 +449,6 @@ class ImportContractRule(_GraphRule):
     """
 
     rule_id = "ARC001"
-    description = (
-        "top-level imports obey the architecture contracts (layering "
-        "declared in repro.devtools.graph.DEFAULT_CONTRACTS)"
-    )
 
     def finish(self) -> Iterator[Finding]:
         for contract, module, site in self._violations(deferred=False):
@@ -474,10 +470,6 @@ class DeferredImportHookRule(_GraphRule):
     """
 
     rule_id = "ARC002"
-    description = (
-        "deferred (function-level) imports across a contract boundary "
-        "are only allowed through sanctioned runtime hooks"
-    )
 
     def finish(self) -> Iterator[Finding]:
         for contract, module, site in self._violations(deferred=True):
@@ -504,7 +496,6 @@ class ImportCycleRule(_GraphRule):
     """
 
     rule_id = "ARC003"
-    description = "no module-level import cycles (Tarjan SCC over runtime edges)"
 
     def finish(self) -> Iterator[Finding]:
         for cycle in self.graph.cycles():

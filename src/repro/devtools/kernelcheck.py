@@ -175,10 +175,6 @@ class StaleSharedWriteRule(Rule):
     """
 
     rule_id = "KRN001"
-    description = (
-        "no shared-attribute write from a value read before a yield "
-        "point (static twin of WriteWriteConflictDetector)"
-    )
     include = ("src/repro",)
 
     def check(self, tree, path, lines):
@@ -300,10 +296,6 @@ class LeakedHandleRule(Rule):
     """
 
     rule_id = "KRN002"
-    description = (
-        "Resource.request()/spawn/timer handles held across a yield are "
-        "settled in a try/finally or try/except on every path"
-    )
     include = ("src/repro",)
 
     def check(self, tree, path, lines):
@@ -394,10 +386,6 @@ class UniteratedProcessRule(Rule):
     """
 
     rule_id = "KRN003"
-    description = (
-        "process generators are iterated (`yield from` / `spawn`), never "
-        "called as a bare statement or yielded raw"
-    )
     include = ("src/repro",)
 
     def __init__(self) -> None:
@@ -524,10 +512,6 @@ class BlockingCallInProcessRule(Rule):
     """
 
     rule_id = "KRN004"
-    description = (
-        "no wall-clock, sleep, or real-I/O calls inside kernel process "
-        "bodies (virtual time comes from Timeout, I/O from replay plans)"
-    )
     include = ("src/repro",)
     allow = (
         # The real-transport zone (DESIGN.md §14): the asyncio service is

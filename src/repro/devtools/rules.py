@@ -38,14 +38,13 @@ _ACCOUNTING_CALL_ATTRS = {"inc", "record_error"}
 class Rule:
     """Base class: one lint rule with a stable id and a scope.
 
-    Subclasses set :attr:`rule_id`, :attr:`description`, and the
-    ``include``/``allow`` path prefixes, and implement :meth:`check`.
+    Subclasses set :attr:`rule_id` and the ``include``/``allow`` path
+    prefixes, and implement :meth:`check`.
     ``allow`` is the one way to exempt code from a rule: each entry is a
     documented exception, reviewed as a diff to this file.
     """
 
     rule_id: str = ""
-    description: str = ""
     #: path prefixes the rule applies to (repo-relative, posix)
     include: tuple[str, ...] = ("src/repro", "benchmarks", "tests")
     #: path prefixes/files exempt from the rule -- documented exceptions
@@ -119,7 +118,6 @@ class NoWallClockRule(Rule):
     """
 
     rule_id = "DET001"
-    description = "no wall-clock reads outside ports/clock.py and sanctioned real-time zones"
     allow = (
         "src/repro/ports/clock.py",    # WallClock is the one wall-time impl
         "src/repro/core/page.py",      # documented set_time_source() shim
@@ -172,7 +170,6 @@ class SeededRngRule(Rule):
     """
 
     rule_id = "DET002"
-    description = "no `random` module or unseeded numpy generators outside ports/rng.py"
     allow = ("src/repro/ports/rng.py",)
 
     def check(self, tree, path, lines):
@@ -248,7 +245,6 @@ class SetOrderRule(Rule):
     """
 
     rule_id = "DET003"
-    description = "no set iteration where ordering reaches output (use sorted())"
     include = ("src/repro",)
 
     def check(self, tree, path, lines):
@@ -339,7 +335,6 @@ class AccountedExceptRule(Rule):
     """
 
     rule_id = "ERR001"
-    description = "no broad except that swallows without re-raise or counter"
     include = ("src/repro", "benchmarks")
 
     def check(self, tree, path, lines):
@@ -369,7 +364,6 @@ class MetricNameRule(Rule):
     """
 
     rule_id = "MET001"
-    description = "metric names snake_case, one kind per name repo-wide"
     include = ("src/repro", "benchmarks")
     _KINDS = {"counter", "gauge", "histogram"}
 
@@ -435,7 +429,6 @@ class SimPurityRule(Rule):
     """
 
     rule_id = "SIM001"
-    description = "no sleep / blocking I/O (open, requests, socket) in sim code"
     include = ("src/repro",)
     allow = (
         "src/repro/tools",              # operator CLIs: files are the point
@@ -500,10 +493,6 @@ class NoClockAdvanceRule(Rule):
     """
 
     rule_id = "SIM002"
-    description = (
-        "no clock.advance()/advance_to() inside repro.presto, "
-        "repro.storage, or repro.hdfs_cache domain code"
-    )
     include = (
         "src/repro/presto",
         "src/repro/storage",
@@ -542,7 +531,6 @@ class NoMutableDefaultRule(Rule):
     """
 
     rule_id = "API001"
-    description = "no mutable default arguments"
     _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
 
     def _is_mutable(self, default: ast.AST) -> bool:
@@ -582,7 +570,6 @@ class NoPrintRule(Rule):
     """
 
     rule_id = "LOG001"
-    description = "no print() outside tools/, devtools/, and the bench reporter"
     allow = (
         "src/repro/tools",
         "src/repro/devtools",
@@ -625,7 +612,6 @@ class SpanLifecycleRule(Rule):
     """
 
     rule_id = "TRC001"
-    description = "tracer spans closed via context manager or try/finally"
     include = ("src/repro",)
     allow = (
         "src/repro/obs/span.py",    # the lifecycle implementation itself
@@ -696,10 +682,6 @@ class RingMutationRule(Rule):
     """
 
     rule_id = "CHN001"
-    description = (
-        "no direct ring mutation in repro.presto; membership changes go "
-        "through the cluster lifecycle API"
-    )
     include = ("src/repro/presto",)
     allow = (
         "src/repro/presto/hashring.py",  # the ring implementation itself

@@ -119,9 +119,6 @@ class TelemetrySampler:
         """Take one snapshot now (also callable manually, e.g. at t=0)."""
         now = float(self.kernel.clock.now())
         self.ticks += 1
-        # feed per-gauge histories too, so registry-side consumers see the
-        # same cadence this sampler records
-        self.registry.sample_gauges(now)
         for name, value in sorted(self.registry.gauge_values().items()):
             self._buf(f"gauge:{name}").append(now, value)
         for name in self.counter_names:

@@ -18,7 +18,7 @@ architecture contract): it imports nothing from ``repro``, so every layer
 """
 
 from repro.ports.clock import Clock, SimClock, WallClock
-from repro.ports.concurrency import ExecutorPort, InlineExecutor, SchedulerPort
+from repro.ports.concurrency import SchedulerPort
 from repro.ports.rng import RngStream
 
 __all__ = [
@@ -27,6 +27,4 @@ __all__ = [
     "WallClock",
     "RngStream",
     "SchedulerPort",
-    "ExecutorPort",
-    "InlineExecutor",
 ]

@@ -21,9 +21,7 @@ Coordinator-worker architecture with the pieces the paper describes:
   scheduling and execution, reports per-query results.
 """
 
-from repro.presto.advisor import Recommendation, recommend, to_filter_rules
 from repro.presto.catalog import Catalog, DataFile, Partition, TableDef
-from repro.presto.explain import ScanEstimate, estimate, explain
 from repro.presto.coordinator import Coordinator, PrestoCluster, QueryResult
 from repro.presto.hashring import ConsistentHashRing
 from repro.presto.metadata_cache import MetadataCache
@@ -59,10 +57,4 @@ __all__ = [
     "Coordinator",
     "PrestoCluster",
     "QueryResult",
-    "explain",
-    "estimate",
-    "ScanEstimate",
-    "recommend",
-    "to_filter_rules",
-    "Recommendation",
 ]

@@ -18,7 +18,6 @@ from repro.storage.hdfs.block import Block, BlockId, BlockMetaFile
 from repro.storage.hdfs.client import DfsClient
 from repro.storage.hdfs.datanode import DataNode
 from repro.storage.hdfs.namenode import FileStatus, NameNode
-from repro.storage.hdfs.viewfs import ViewFs
 
 __all__ = [
     "Block",
@@ -28,5 +27,4 @@ __all__ = [
     "FileStatus",
     "DataNode",
     "DfsClient",
-    "ViewFs",
 ]

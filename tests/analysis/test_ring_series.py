@@ -38,51 +38,3 @@ class TestRingSeries:
         series = RingSeries(2)
         series.append(1, 5)
         assert series.items() == [(1.0, 5.0)]
-
-    def test_to_dict_is_json_ready(self):
-        series = RingSeries(2)
-        series.append(1.0, 2.0)
-        series.append(3.0, 4.0)
-        series.append(5.0, 6.0)
-        assert series.to_dict() == {
-            "capacity": 2,
-            "dropped": 1,
-            "times": [3.0, 5.0],
-            "values": [4.0, 6.0],
-        }
-
-
-class TestMerge:
-    def test_interleaves_by_timestamp_without_mutating(self):
-        a = RingSeries(8)
-        b = RingSeries(8)
-        a.append(1.0, 1.0)
-        a.append(3.0, 3.0)
-        b.append(2.0, 2.0)
-        merged = a.merge(b)
-        assert merged.timestamps() == [1.0, 2.0, 3.0]
-        assert a.timestamps() == [1.0, 3.0]
-        assert b.timestamps() == [2.0]
-
-    def test_merge_capacity_is_the_larger_side(self):
-        assert RingSeries(4).merge(RingSeries(16)).capacity == 16
-
-    def test_merge_overflow_keeps_newest_and_sums_dropped(self):
-        a = RingSeries(3)
-        b = RingSeries(3)
-        for i in range(4):  # a drops one
-            a.append(float(i), 0.0)
-        for i in range(10, 13):
-            b.append(float(i), 0.0)
-        merged = a.merge(b)
-        assert merged.capacity == 3
-        assert merged.timestamps() == [10.0, 11.0, 12.0]
-        # 3 overflow during merge + 1 dropped in a + 0 in b
-        assert merged.dropped == 4
-
-    def test_merge_is_stable_for_equal_timestamps(self):
-        a = RingSeries(4)
-        b = RingSeries(4)
-        a.append(1.0, 100.0)
-        b.append(1.0, 200.0)
-        assert a.merge(b).values() == [100.0, 200.0]

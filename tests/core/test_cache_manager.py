@@ -19,7 +19,6 @@ from repro.core.admission import (
     CacheFilter,
     FilterAdmissionPolicy,
     ShadowCache,
-    TinyLfuAdmission,
 )
 from repro.core.pagestore import FaultPlan, MemoryPageStore, SimulatedSsdPageStore
 from repro.service.sim_transport import KernelScheduler
@@ -476,7 +475,6 @@ ADMISSION_POLICIES = {
         threshold=2, window_buckets=2, bucket_seconds=1.0
     ),
     "shadow": lambda: ShadowCache(window_buckets=2, bucket_seconds=1.0),
-    "tinylfu": lambda: TinyLfuAdmission(threshold=2),
     "partition_cap": lambda: FilterAdmissionPolicy.from_json(
         [{"table": "wh.t", "maxCachedPartitions": 1}]
     ),

@@ -286,66 +286,3 @@ class TestAggregation:
         fleet.register(MetricsRegistry())
         assert len(fleet) == 1
         assert fleet.hit_ratio == 0.0
-
-
-class TestGaugeHistory:
-    def test_history_off_by_default(self):
-        gauge = MetricsRegistry().gauge("queue_depth")
-        assert gauge.history is None
-        gauge.sample(1.0)  # no-op, not an error
-        assert gauge.history is None
-
-    def test_enable_history_is_idempotent_and_keeps_points(self):
-        gauge = MetricsRegistry().gauge("queue_depth")
-        history = gauge.enable_history(capacity=8)
-        gauge.set(3.0)
-        gauge.sample(1.0)
-        assert gauge.enable_history(capacity=4) is history
-        assert gauge.history.items() == [(1.0, 3.0)]
-
-    def test_history_is_bounded(self):
-        gauge = MetricsRegistry().gauge("queue_depth")
-        gauge.enable_history(capacity=2)
-        for i in range(5):
-            gauge.set(float(i))
-            gauge.sample(float(i))
-        assert gauge.history.values() == [3.0, 4.0]
-        assert gauge.history.dropped == 3
-
-    def test_registry_enables_current_and_future_gauges(self):
-        registry = MetricsRegistry()
-        registry.gauge("existing").set(1.0)
-        registry.enable_gauge_history(capacity=8)
-        later = registry.gauge("created_later")
-        later.set(2.0)
-        registry.sample_gauges(5.0)
-        assert registry.gauge("existing").history.items() == [(5.0, 1.0)]
-        assert later.history.items() == [(5.0, 2.0)]
-
-    def test_snapshot_is_a_merge_safe_copy(self):
-        registry = MetricsRegistry()
-        registry.enable_gauge_history(capacity=8)
-        registry.gauge("queue_depth").set(7.0)
-        registry.sample_gauges(1.0)
-        snap = registry.gauge_history_snapshot()
-        assert snap == {
-            "queue_depth": {
-                "capacity": 8, "dropped": 0, "times": [1.0], "values": [7.0],
-            }
-        }
-        snap["queue_depth"]["values"].append(999.0)
-        assert registry.gauge("queue_depth").history.values() == [7.0]
-
-    def test_merged_gauge_history_across_fleet(self):
-        a = MetricsRegistry("node0")
-        b = MetricsRegistry("node1")
-        bare = MetricsRegistry("node2")  # never saw this gauge
-        for i, node in enumerate((a, b)):
-            node.enable_gauge_history(capacity=8)
-            node.gauge("queue_depth").set(float(i))
-            node.sample_gauges(float(i))
-        fleet = AggregatedMetrics([a, b, bare])
-        merged = fleet.merged_gauge_history("queue_depth")
-        assert merged.items() == [(0.0, 0.0), (1.0, 1.0)]
-        # the lookup must not lazily create gauges on nodes lacking them
-        assert "queue_depth" not in bare.gauge_history_snapshot()

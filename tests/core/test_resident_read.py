@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.admission.tinylfu import TinyLfuAdmission
+from repro.core.admission import BucketTimeRateLimit
 from repro.core.config import CacheConfig
 from repro.core.engine import CacheEngine
 from repro.core.pagestore import LocalFilePageStore, MemoryPageStore
@@ -222,16 +222,17 @@ class TestDeclines:
         assert drain_victims(engine) == order
 
     def test_a_stateful_policy_gets_the_inline_path_and_is_not_asked(self):
-        admission = TinyLfuAdmission(threshold=2)
+        admission = BucketTimeRateLimit(threshold=2)
         engine = make_engine(admission=admission)
         for _ in range(4):
             engine.get("file-1", 0, PAGE)
         assert engine.contains("file-1", 0)
-        estimate = admission.sketch.estimate("file-1")
+        now = engine.clock.now()
+        count = admission.windowed_count("file-1", now)
         result = engine.get("file-1", 0, PAGE, resident_only=True)
         assert result is not None and result.page_hits == 1
         assert result.data == content("file-1", 0, PAGE)
-        assert admission.sketch.estimate("file-1") == estimate
+        assert admission.windowed_count("file-1", now) == count == 2
 
 
 class TestAgainstAnEvictorThread:

@@ -7,8 +7,11 @@ the ``[project.scripts]`` targets and every ``python -m repro...`` target in
 CI.  From there the walk follows every import edge in
 :class:`~repro.devtools.graph.ImportGraph` except ``TYPE_CHECKING`` ones
 (a deferred import runs as soon as its function is called), plus the
-parent packages Python imports first.  A module nothing reaches is either
-deleted or listed in :data:`UNREACHED_ON_PURPOSE` with the reason it stays.
+parent packages Python imports first.  An import that only re-exports is
+not a use: the imports in a package ``__init__`` are no edges of their
+own, and ``from pkg import name`` reaches the module that defines
+``name``.  A module nothing reaches is either deleted or listed in
+:data:`UNREACHED_ON_PURPOSE` with the reason it stays.
 """
 
 import ast
@@ -27,6 +30,9 @@ UNREACHED_ON_PURPOSE = {
     "repro.core.recovery",
     # version-qualified file ids and stale-version invalidation (§6.1.1)
     "repro.core.versioning",
+    # the page-store contract (the errors each store raises and
+    # ``nonblocking_reads``): a declaration nothing needs at runtime
+    "repro.core.pagestore.base",
 }
 
 
@@ -66,9 +72,32 @@ def roots() -> list[str]:
     return found
 
 
+def is_package(graph: ImportGraph, module: str) -> bool:
+    return graph.paths[module].endswith("/__init__.py")
+
+
+def defining_module(graph: ImportGraph, target: str) -> str | None:
+    """The module ``target`` names, looking through package re-exports."""
+    module = graph.resolve(target)
+    while module is not None and is_package(graph, module):
+        name = target[len(module) + 1:].partition(".")[0]
+        source = next(
+            (
+                site.target for site in graph.sites[module]
+                if not site.type_checking and site.target.rpartition(".")[2] == name
+            ),
+            None,
+        )
+        if source is None or source == target:
+            break
+        target = source
+        module = graph.resolve(target)
+    return module
+
+
 def reachable(graph: ImportGraph, targets: list[str]) -> set[str]:
     seen: set[str] = set()
-    todo = [module for module in map(graph.resolve, targets) if module]
+    todo = [module for target in targets if (module := defining_module(graph, target))]
     while todo:
         module = todo.pop()
         if module in seen:
@@ -77,8 +106,10 @@ def reachable(graph: ImportGraph, targets: list[str]) -> set[str]:
         parent = module.rpartition(".")[0]
         if parent in graph.paths:
             todo.append(parent)
+        if is_package(graph, module):
+            continue
         for site in graph.sites[module]:
-            target = None if site.type_checking else graph.resolve(site.target)
+            target = None if site.type_checking else defining_module(graph, site.target)
             if target is not None:
                 todo.append(target)
     return seen
@@ -114,3 +145,20 @@ class TestReachability:
         assert reachable(graph, ["repro.a.b.f"]) == {
             "repro", "repro.a", "repro.a.b", "repro.c",
         }
+
+    def test_a_re_export_is_not_a_use(self):
+        graph = ImportGraph()
+        sources = {
+            "src/repro/__init__.py": "",
+            "src/repro/main.py": "from repro.p import f\n",
+            "src/repro/p/__init__.py": (
+                "from repro.p.used import f\nfrom repro.p.unused import g\n"
+            ),
+            "src/repro/p/used.py": "def f():\n    pass\n",
+            "src/repro/p/unused.py": "def g():\n    pass\n",
+        }
+        for path, text in sources.items():
+            graph.add_module(path, ast.parse(text))
+        expected = {"repro", "repro.p", "repro.p.used"}
+        assert reachable(graph, ["repro.p.f"]) == expected
+        assert reachable(graph, ["repro.main"]) == expected | {"repro.main"}

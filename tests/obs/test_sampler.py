@@ -82,14 +82,6 @@ class TestSampling:
         sampler.tick()
         assert sampler.series["derived:hit_ratio"].timestamps() == [0.0]
 
-    def test_feeds_registry_gauge_histories(self, kernel, registry):
-        registry.enable_gauge_history(16)
-        sampler = TelemetrySampler(kernel, registry, interval=1.0)
-        sampler.start()
-        kernel.run_until(2.0)
-        history = registry.gauge("device_queue_depth").history
-        assert history.timestamps() == [1.0, 2.0]
-
     def test_capacity_bounds_memory_and_counts_drops(self, kernel, registry):
         sampler = TelemetrySampler(kernel, registry, interval=1.0, capacity=4)
         sampler.start()

@@ -7,7 +7,6 @@ import pytest
 
 MODULE_NAMES = [
     "repro.ports.clock",
-    "repro.ports.concurrency",
     "repro.ports.rng",
     "repro.sim.kernel",
     "repro.core.indexed_set",
