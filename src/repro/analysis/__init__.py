@@ -1,17 +1,13 @@
 """Analysis helpers for the benchmark harness."""
 
-from repro.analysis.percentile import percentile, percentiles, reduction
-from repro.analysis.report import Table, format_bytes, format_seconds
-from repro.analysis.timeseries import RingSeries, bucket_series, rate_series
+from repro.analysis.percentile import percentile, reduction
+from repro.analysis.report import Table, format_bytes
+from repro.analysis.timeseries import RingSeries
 
 __all__ = [
     "percentile",
-    "percentiles",
     "reduction",
     "Table",
     "format_bytes",
-    "format_seconds",
     "RingSeries",
-    "bucket_series",
-    "rate_series",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,13 +15,6 @@ def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
     if not 0 <= q <= 100:
         raise ValueError(f"q must be in [0, 100], got {q}")
     return float(np.percentile(array, q))
-
-
-def percentiles(
-    values: Sequence[float] | np.ndarray, qs: Iterable[float] = (50, 90, 95, 99)
-) -> dict[float, float]:
-    """Several percentiles at once."""
-    return {q: percentile(values, q) for q in qs}
 
 
 def reduction(before: float, after: float) -> float:

@@ -64,10 +64,3 @@ def format_bytes(nbytes: float) -> str:
             return f"{size:.1f} {unit}" if unit != "B" else f"{int(size)} B"
         size /= 1024
     raise AssertionError("unreachable")
-
-
-def format_seconds(seconds: float) -> str:
-    """Human-readable durations: ms below 1 s, otherwise seconds."""
-    if seconds < 1.0:
-        return f"{seconds * 1000:.1f} ms"
-    return f"{seconds:.2f} s"

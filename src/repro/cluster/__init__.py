@@ -10,8 +10,8 @@ overload, and the recovery SLOs the churn soak benchmark asserts.
   movement.
 - :mod:`~repro.cluster.lifecycle` -- ties membership to live workers,
   the coordinator's executor pool, warmup, and health tracking.
-- :mod:`~repro.cluster.churn` -- churn schedules (rolling restart,
-  correlated AZ failure, autoscale ramp) and the driver process.
+- :mod:`~repro.cluster.churn` -- churn schedules (correlated AZ
+  failure) and the driver process.
 - :mod:`~repro.cluster.rebalance` -- prefetch/migrate warmup for keys
   that changed owner.
 - :mod:`~repro.cluster.admission` -- bounded-queue admission with load
@@ -20,13 +20,7 @@ overload, and the recovery SLOs the churn soak benchmark asserts.
 """
 
 from repro.cluster.admission import AdmissionController, AdmissionTicket
-from repro.cluster.churn import (
-    ChurnAction,
-    ChurnDriver,
-    autoscale_ramp,
-    correlated_failure,
-    rolling_restart,
-)
+from repro.cluster.churn import ChurnAction, ChurnDriver, correlated_failure
 from repro.cluster.lifecycle import ClusterLifecycle
 from repro.cluster.membership import ClusterMembership, NodeState
 from repro.cluster.rebalance import ShardRebalancer
@@ -48,9 +42,7 @@ __all__ = [
     "PhasePercentiles",
     "RecoveryReport",
     "ShardRebalancer",
-    "autoscale_ramp",
     "correlated_failure",
     "hit_ratio_recovery",
     "phase_p99",
-    "rolling_restart",
 ]

@@ -2,17 +2,10 @@
 
 A churn scenario is a plain list of :class:`ChurnAction` values -- data,
 not code -- applied by a :class:`ChurnDriver` process on the event kernel.
-Three schedule builders cover the production shapes the paper's Section 7
-lessons are about:
-
-- :func:`rolling_restart` -- the container platform restarts workers one
-  at a time (the "lazy data movement" motivating case: each node is back
-  well within the offline timeout, so zero keys move).
-- :func:`correlated_failure` -- an AZ/rack event takes a worker group
-  down at once, optionally losing their SSD contents (the cold-cache
-  recovery case the churn soak measures).
-- :func:`autoscale_ramp` -- capacity joins (and optionally leaves) on a
-  cadence, each step remapping a slice of the key space.
+:func:`correlated_failure` builds the shape the churn soak measures: an
+AZ/rack event takes a worker group down at once, optionally losing their
+SSD contents (the cold-cache recovery case of the paper's Section 7
+lessons).
 
 The driver also ticks :meth:`ClusterLifecycle.expire_tick` on a bounded
 cadence up to its horizon, so offline-timeout evictions happen in virtual
@@ -56,28 +49,6 @@ class ChurnAction:
             )
 
 
-def rolling_restart(
-    nodes,
-    *,
-    start: float = 0.0,
-    interval: float = 60.0,
-    downtime: float = 20.0,
-    lose_cache: bool = False,
-) -> tuple[ChurnAction, ...]:
-    """One node at a time: crash at ``start + i*interval``, back after
-    ``downtime``.  With ``downtime`` under the ring's offline timeout this
-    schedule must move zero keys."""
-    if downtime <= 0 or interval <= 0:
-        raise ValueError("interval and downtime must be positive")
-    actions: list[ChurnAction] = []
-    for i, node in enumerate(nodes):
-        at = start + i * interval
-        actions.append(ChurnAction(at=at, kind="crash", node=node,
-                                   lose_cache=lose_cache))
-        actions.append(ChurnAction(at=at + downtime, kind="restart", node=node))
-    return tuple(actions)
-
-
 def correlated_failure(
     nodes,
     *,
@@ -94,31 +65,6 @@ def correlated_failure(
         actions.append(ChurnAction(at=at, kind="crash", node=node,
                                    lose_cache=lose_cache))
         actions.append(ChurnAction(at=at + downtime, kind="restart", node=node))
-    return tuple(actions)
-
-
-def autoscale_ramp(
-    nodes,
-    *,
-    start: float = 0.0,
-    interval: float = 30.0,
-    hold: float | None = None,
-) -> tuple[ChurnAction, ...]:
-    """Capacity joins one node per ``interval``; when ``hold`` is given,
-    each node is decommissioned ``hold`` seconds after it joined (a scale
-    up-then-down cycle)."""
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    if hold is not None and hold <= 0:
-        raise ValueError(f"hold must be positive, got {hold}")
-    actions: list[ChurnAction] = []
-    for i, node in enumerate(nodes):
-        at = start + i * interval
-        actions.append(ChurnAction(at=at, kind="join", node=node))
-        if hold is not None:
-            actions.append(
-                ChurnAction(at=at + hold, kind="decommission", node=node)
-            )
     return tuple(actions)
 
 

@@ -93,9 +93,6 @@ class ClusterMembership:
 
     # -- state queries -------------------------------------------------------
 
-    def state_of(self, node: str) -> NodeState | None:
-        return self._states.get(node)
-
     def states(self) -> dict[str, str]:
         """``node -> state value`` for every node ever seen, sorted."""
         return {

@@ -14,7 +14,6 @@ components.
 
 from repro.core.admission import (
     AdmitAll,
-    AdmitNone,
     BucketTimeRateLimit,
     CacheFilter,
     FilterAdmissionPolicy,
@@ -32,7 +31,7 @@ from repro.core.config import (
     CacheConfig,
     CacheDirectory,
 )
-from repro.core.metrics import AggregatedMetrics, MetricsRegistry
+from repro.core.metrics import MetricsRegistry
 from repro.core.page import PageId, PageInfo
 from repro.core.quota import QuotaManager, QuotaViolation
 from repro.core.scope import CacheScope
@@ -49,9 +48,7 @@ __all__ = [
     "QuotaManager",
     "QuotaViolation",
     "MetricsRegistry",
-    "AggregatedMetrics",
     "AdmitAll",
-    "AdmitNone",
     "CacheFilter",
     "FilterAdmissionPolicy",
     "BucketTimeRateLimit",

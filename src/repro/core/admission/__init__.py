@@ -11,11 +11,11 @@ Two production strategies, plus helpers:
   cache-worthy once its windowed count crosses a threshold (Figure 12).
   Used by HDFS local cache, where "only around 1% of [admitted] requests
   require slower storage access."
-- :mod:`~repro.core.admission.shadow` -- a shadow working-set estimator for
-  sizing and admission experiments.
+- :mod:`~repro.core.admission.shadow` -- seen-before admission over a
+  sliding window of distinct files.
 """
 
-from repro.core.admission.base import AdmitAll, AdmitNone, AdmissionPolicy
+from repro.core.admission.base import AdmitAll, AdmissionPolicy
 from repro.core.admission.filters import (
     CacheFilter,
     FilterAdmissionPolicy,
@@ -28,7 +28,6 @@ from repro.core.admission.shadow import ShadowCache
 __all__ = [
     "AdmissionPolicy",
     "AdmitAll",
-    "AdmitNone",
     "CacheFilter",
     "FilterRule",
     "FilterAdmissionPolicy",

@@ -33,10 +33,3 @@ class AdmitAll:
 
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         return True
-
-
-class AdmitNone:
-    """Cache nothing; turns the cache into a pass-through (for ablations)."""
-
-    def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
-        return False

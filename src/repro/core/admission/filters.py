@@ -130,10 +130,6 @@ class CacheFilter:
             admitted.popitem(last=False)  # retire least-recently-seen
         return partition in admitted
 
-    def admitted_partitions(self, table: str) -> list[str]:
-        """Currently admitted partitions of ``table`` (LRU order, oldest first)."""
-        return list(self._admitted_partitions.get(table, ()))
-
 
 class FilterAdmissionPolicy:
     """Adapts :class:`CacheFilter` to the :class:`AdmissionPolicy` protocol."""

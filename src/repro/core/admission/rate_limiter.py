@@ -81,24 +81,10 @@ class BucketTimeRateLimit:
         self._buckets[-1][1][key] = self._buckets[-1][1].get(key, 0) + 1
         self._totals[key] = self._totals.get(key, 0) + 1
 
-    def windowed_count(self, key: str, now: float) -> int:
-        """Accesses to ``key`` within the live window."""
-        self._rotate(now)
-        return self._totals.get(key, 0)
-
-    def is_cache_worthy(self, key: str, now: float) -> bool:
-        """True if ``key``'s windowed count has reached the threshold."""
-        return self.windowed_count(key, now) >= self.threshold
-
     def record_and_check(self, key: str, now: float) -> bool:
         """Record an access, then report cache-worthiness (the common path)."""
         self.record(key, now)
         return self._totals[key] >= self.threshold
-
-    def tracked_keys(self, now: float) -> int:
-        """Number of distinct keys with live window state (memory footprint)."""
-        self._rotate(now)
-        return len(self._totals)
 
     # -- AdmissionPolicy protocol ------------------------------------------
 

@@ -1,11 +1,10 @@
-"""Shadow cache: working-set estimation without storing data.
+"""Shadow cache: seen-before admission without storing data.
 
 A shadow cache tracks *what would be cached* over a sliding time window --
-the distinct files/bytes seen -- without holding any payload.  Operators use
-it to size the real cache ("how big must the cache be for the working set of
-the last N minutes?") and to evaluate admission windows offline, the same
-kind of historical-pattern analysis Section 5.1's sliding-window admission
-is built on.
+the distinct files seen -- without holding any payload, and admits a file
+on its second access within the window.  It is the seen-before rule of the
+historical-pattern analysis Section 5.1's sliding-window admission is
+built on.
 """
 
 from __future__ import annotations
@@ -16,17 +15,18 @@ from repro.core.scope import CacheScope
 
 
 class ShadowCache:
-    """Sliding-window distinct-file and byte working-set tracker.
+    """Sliding-window seen-before admission.
 
-    Maintains per-bucket maps of ``file_id -> max size seen`` and reports
-    window-wide distinct counts and byte totals.
+    Keeps the set of file ids accessed in each of the last
+    ``window_buckets`` time buckets; a file is admitted when one of them
+    holds it.
 
     >>> shadow = ShadowCache(window_buckets=2, bucket_seconds=60.0)
-    >>> shadow.record("a", 100, 0.0); shadow.record("b", 50, 10.0)
-    >>> shadow.working_set_files(10.0)
-    2
-    >>> shadow.working_set_bytes(10.0)
-    150
+    >>> scope = CacheScope.global_scope()
+    >>> shadow.admit("a", scope, 0.0), shadow.admit("a", scope, 10.0)
+    (False, True)
+    >>> shadow.admit("a", scope, 180.0)  # two buckets on: forgotten
+    False
     """
 
     def __init__(
@@ -38,58 +38,21 @@ class ShadowCache:
             raise ValueError(f"bucket_seconds must be positive, got {bucket_seconds}")
         self.window_buckets = window_buckets
         self.bucket_seconds = bucket_seconds
-        self._buckets: deque[tuple[int, dict[str, int]]] = deque()
-        self._hits = 0
-        self._misses = 0
+        self._buckets: deque[tuple[int, set[str]]] = deque()
 
     def _rotate(self, now: float) -> None:
         current = int(now // self.bucket_seconds)
         if not self._buckets or self._buckets[-1][0] < current:
-            self._buckets.append((current, {}))
+            self._buckets.append((current, set()))
         oldest_allowed = current - self.window_buckets + 1
         while self._buckets and self._buckets[0][0] < oldest_allowed:
             self._buckets.popleft()
-
-    def record(self, file_id: str, size: int, now: float) -> None:
-        """Log an access to ``file_id`` of ``size`` bytes at time ``now``."""
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        self._rotate(now)
-        if any(file_id in counts for __, counts in self._buckets):
-            self._hits += 1
-        else:
-            self._misses += 1
-        bucket = self._buckets[-1][1]
-        bucket[file_id] = max(bucket.get(file_id, 0), size)
-
-    def working_set_files(self, now: float) -> int:
-        """Distinct files accessed within the window."""
-        self._rotate(now)
-        seen: set[str] = set()
-        for __, counts in self._buckets:
-            seen.update(counts)
-        return len(seen)
-
-    def working_set_bytes(self, now: float) -> int:
-        """Bytes needed to hold every distinct file seen in the window."""
-        self._rotate(now)
-        sizes: dict[str, int] = {}
-        for __, counts in self._buckets:
-            for file_id, size in counts.items():
-                sizes[file_id] = max(sizes.get(file_id, 0), size)
-        return sum(sizes.values())
-
-    @property
-    def infinite_cache_hit_ratio(self) -> float:
-        """Hit ratio a cache of unbounded size (within the window) would get."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
 
     # -- AdmissionPolicy protocol ------------------------------------------
 
     def admit(self, file_id: str, scope: CacheScope, now: float) -> bool:
         """Admit files already in the shadow working set (seen-before rule)."""
         self._rotate(now)
-        seen = any(file_id in counts for __, counts in self._buckets)
-        self.record(file_id, 0, now)
+        seen = any(file_id in files for __, files in self._buckets)
+        self._buckets[-1][1].add(file_id)
         return seen

@@ -53,7 +53,6 @@ from repro.ports.clock import Clock, SimClock
 from repro.ports.rng import RngStream
 
 if TYPE_CHECKING:
-    from repro.ports.concurrency import SchedulerPort
     from repro.storage.remote import DataSource
 
 
@@ -107,10 +106,9 @@ class LocalCacheManager:
         quota: hierarchical quota manager; defaults to no quotas.
         metrics: metrics registry; created if not supplied.
         rng: random stream (random eviction, quota randomization).
-        event_loop: any :class:`~repro.ports.concurrency.SchedulerPort`
-            (a ``KernelScheduler`` over the sim kernel, or the service
-            scheduler); when supplied, a periodic TTL sweep is scheduled
-            on it.
+
+    Expired pages go when the caller runs :meth:`ttl_sweep` (the service
+    does so every ``ttl_interval``).
     """
 
     def __init__(
@@ -123,7 +121,6 @@ class LocalCacheManager:
         quota: QuotaManager | None = None,
         metrics: MetricsRegistry | None = None,
         rng: RngStream | None = None,
-        event_loop: SchedulerPort | None = None,
     ) -> None:
         self.config = config if config is not None else CacheConfig()
         self.clock = clock if clock is not None else SimClock()
@@ -161,10 +158,6 @@ class LocalCacheManager:
         self._remote_bytes = counter("bytes_read_remote")
         self._puts, self._evictions = counter("puts"), counter("evictions")
         self._evicted_bytes = counter("evicted_bytes")
-        if event_loop is not None:
-            event_loop.schedule_periodic(
-                self.config.ttl_check_interval, self.ttl_sweep
-            )
 
     # -- convenience accessors ----------------------------------------------
 
@@ -628,7 +621,3 @@ class LocalCacheManager:
     def scope_usage(self, scope: CacheScope) -> int:
         """Bytes cached under ``scope``."""
         return self.metastore.bytes_in_scope(scope)
-
-    def dir_usage(self, directory: int) -> int:
-        """Bytes cached on one storage directory (per-device reporting)."""
-        return self.metastore.bytes_in_dir(directory)

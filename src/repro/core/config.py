@@ -52,7 +52,6 @@ class CacheConfig:
         read_timeout: seconds before a local page read falls back to the
             remote source (Section 8 "file read hanging"; production 10 s).
         default_ttl: optional TTL applied to every admitted page.
-        ttl_check_interval: period of the background expiry sweep.
         lock_stripes: number of lock stripes for fine-grained page locking
             (Section 4.3).
         eviction_batch: how many candidate pages an eviction pass reclaims
@@ -67,7 +66,6 @@ class CacheConfig:
     allocator: str = "affinity"
     read_timeout: float = 10.0
     default_ttl: float | None = None
-    ttl_check_interval: float = 60.0
     lock_stripes: int = 64
     eviction_batch: int = 8
 

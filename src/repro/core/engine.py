@@ -8,10 +8,11 @@ Those arrive as injected ports (:mod:`repro.ports`):
 - ``clock`` -- a :class:`~repro.ports.clock.SimClock` under the
   virtual-time kernel, a :class:`~repro.ports.clock.WallClock` behind the
   asyncio service;
-- ``scheduler`` -- whoever rearms the periodic TTL sweep (kernel timers);
 - ``source`` -- the read-through :class:`~repro.storage.remote.DataSource`
-  (synthetic/simulated remotes, or a real socket client such as
-  :class:`~repro.service.client.RemoteCacheDataSource`).
+  (synthetic or simulated remotes).
+
+Periodic maintenance is the transport's: it calls :meth:`CacheEngine.ttl_sweep`
+on its own schedule (the service's ``ttl_interval`` loop).
 
 Two adapters drive the same engine: :mod:`repro.service.sim_transport`
 (discrete-event kernel) and :mod:`repro.service.server` (asyncio TCP).
@@ -31,7 +32,6 @@ from repro.core.metrics_export import to_json_dict, to_prometheus_text
 from repro.core.page import PageId
 from repro.core.scope import CacheScope
 from repro.ports.clock import Clock, SimClock
-from repro.ports.concurrency import SchedulerPort
 from repro.ports.rng import RngStream
 
 if TYPE_CHECKING:
@@ -55,8 +55,6 @@ class CacheEngine:
             ``put``/``evict`` traffic is possible and ``get`` raises.
         clock: time port; defaults to a fresh :class:`SimClock` (library
             embeds that never sweep TTLs work fine with frozen time).
-        scheduler: when supplied, the TTL sweep is registered on it at
-            ``config.ttl_check_interval``.
         page_store / admission / quota / metrics / rng: forwarded to
             :class:`LocalCacheManager` untouched.
     """
@@ -67,7 +65,6 @@ class CacheEngine:
         *,
         source: DataSource | None = None,
         clock: Clock | None = None,
-        scheduler: SchedulerPort | None = None,
         page_store: Any = None,
         admission: Any = None,
         quota: Any = None,
@@ -84,7 +81,6 @@ class CacheEngine:
             quota=quota,
             metrics=metrics,
             rng=rng,
-            event_loop=scheduler,
         )
 
     # ------------------------------------------------------------- data plane

@@ -91,9 +91,6 @@ class IndexedSet(Generic[T]):
             keys += self._file((index,), element, token, weight)
             self.entries[key] = (element, token, keys, weight)
 
-    def index_names(self) -> list[str]:
-        return list(self._indices)
-
     # -- set protocol --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -104,9 +101,6 @@ class IndexedSet(Generic[T]):
 
     def __contains__(self, element: T) -> bool:
         return self._primary(element) in self.entries
-
-    def contains_key(self, primary_key: Hashable) -> bool:
-        return primary_key in self.entries
 
     def get(self, primary_key: Hashable) -> T | None:
         """Fetch an element by its primary key, or ``None``."""

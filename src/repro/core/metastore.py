@@ -18,7 +18,6 @@ quota manager never have to iterate pages to answer "how full is X?".
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
 
 from repro.core.indexed_set import Index, IndexedSet
 from repro.core.page import PageId, PageInfo
@@ -119,9 +118,6 @@ class PageMetaStore:
         if self._expiring:
             self._expiring.pop(page_id, None)
         return info
-
-    def all_pages(self) -> Iterable[PageInfo]:
-        return iter(self._pages)
 
     def expired_pages(self, now: float) -> list[PageInfo]:
         """Pages whose TTL has elapsed (the periodic sweep's work list)."""

@@ -8,9 +8,7 @@ into table-level insights.  This module provides:
 
 - :class:`Counter`, :class:`Gauge`, :class:`Histogram` primitives,
 - :class:`MetricsRegistry` -- the per-cache-instance registry, including
-  ``record_error(operation, error)`` breakdowns,
-- :class:`AggregatedMetrics` -- merges registries from many cache instances
-  (thousands of nodes in production) into one centralized view.
+  ``record_error(operation, error)`` breakdowns.
 
 Per-*query* runtime statistics live in :mod:`repro.presto.runtime_stats`,
 which feeds table-level aggregates through this module's histograms.
@@ -21,7 +19,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -216,31 +213,6 @@ class Histogram(_ExemplarRing):
     def values(self) -> list[float]:
         return list(self._values)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` in: exact count/total always; if the combined
-        retained values overflow this histogram's cap they are downsampled
-        uniformly (deterministically, via this histogram's rng stream)."""
-        self._count += other._count
-        self._total += other._total
-        combined = self._values + other._values
-        if len(combined) > self._cap:
-            keep = sorted(
-                self._rng.rng.choice(
-                    len(combined), size=self._cap, replace=False
-                ).tolist()
-            )
-            combined = [combined[i] for i in keep]
-        self._values = combined
-        if len(combined) == self._cap:
-            # a uniform sample of `count` again: the largest kept key of
-            # such a sample is Beta(cap, count - cap + 1)
-            self._skip_ahead(
-                float(self._rng.rng.beta(self._cap, self._count - self._cap + 1)),
-                self._uniforms(1).pop(),
-            )
-        for value, ref in other._exemplars:
-            self._record_exemplar(value, ref)
-
 
 @dataclass(slots=True)
 class CacheStatsSnapshot:
@@ -381,47 +353,3 @@ class MetricsRegistry:
 
     def gauge_values(self) -> dict[str, float]:
         return {name: gauge.value for name, gauge in self._gauges.items()}
-
-
-class AggregatedMetrics:
-    """Fleet-level roll-up of many :class:`MetricsRegistry` instances.
-
-    Mirrors the paper's centralized metrics system that aggregates local
-    cache metrics across thousands of nodes.
-    """
-
-    def __init__(self, registries: Iterable[MetricsRegistry] = ()) -> None:
-        self._registries: list[MetricsRegistry] = list(registries)
-
-    def register(self, registry: MetricsRegistry) -> None:
-        self._registries.append(registry)
-
-    def __len__(self) -> int:
-        return len(self._registries)
-
-    def counter_total(self, name: str) -> int:
-        return sum(r.counter(name).value for r in self._registries)
-
-    @property
-    def hit_ratio(self) -> float:
-        hits = self.counter_total("get_hits")
-        misses = self.counter_total("get_misses")
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def merged_histogram(self, name: str) -> Histogram:
-        merged = Histogram()
-        for registry in self._registries:
-            merged.merge(registry.histogram(name))
-        return merged
-
-    def error_breakdown(self) -> dict[str, dict[str, int]]:
-        merged: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        for registry in self._registries:
-            for op, types in registry.error_breakdown().items():
-                for error_type, count in types.items():
-                    merged[op][error_type] += count
-        return {op: dict(types) for op, types in merged.items()}
-
-    def per_node_hit_ratios(self) -> list[float]:
-        return [r.hit_ratio for r in self._registries]

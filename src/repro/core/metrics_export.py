@@ -2,9 +2,8 @@
 
 The production deployment exports cache metrics through Presto JMX
 exporters into a centralized system (Sections 6.1.3, 7).  This module
-renders a :class:`~repro.core.metrics.MetricsRegistry` (or a fleet-level
-:class:`~repro.core.metrics.AggregatedMetrics`) into the two formats a
-scrape pipeline wants:
+renders a :class:`~repro.core.metrics.MetricsRegistry` into the two
+formats a scrape pipeline wants:
 
 - :func:`to_json_dict` -- structured counters, gauges, histogram summaries,
   and the per-operation error breakdown;
@@ -17,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 
-from repro.core.metrics import AggregatedMetrics, MetricsRegistry
+from repro.core.metrics import MetricsRegistry
 
 _HISTOGRAM_QUANTILES = (50.0, 90.0, 95.0, 99.0)
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -103,22 +102,3 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
             )
     lines.append(f'cache_hit_ratio{{instance="{instance}"}} {registry.hit_ratio}')
     return "\n".join(lines) + "\n"
-
-
-def fleet_to_json_dict(fleet: AggregatedMetrics) -> dict:
-    """Centralized view across many cache instances (Section 7's
-    aggregated metrics system)."""
-    return {
-        "nodes": len(fleet),
-        "hit_ratio": fleet.hit_ratio,
-        "per_node_hit_ratios": fleet.per_node_hit_ratios(),
-        "counters": {
-            name: fleet.counter_total(name)
-            for name in MetricsRegistry._WELL_KNOWN
-        },
-        "errors": fleet.error_breakdown(),
-    }
-
-
-def fleet_to_json(fleet: AggregatedMetrics, *, indent: int | None = None) -> str:
-    return json.dumps(fleet_to_json_dict(fleet), indent=indent, sort_keys=True)

@@ -62,12 +62,6 @@ class QuotaManager:
             raise ValueError(f"quota must be positive, got {limit_bytes}")
         self._quotas[str(scope)] = limit_bytes
 
-    def clear_quota(self, scope: CacheScope) -> None:
-        self._quotas.pop(str(scope), None)
-
-    def quota_of(self, scope: CacheScope) -> int | None:
-        return self._quotas.get(str(scope))
-
     def __len__(self) -> int:
         return len(self._quotas)
 

@@ -348,8 +348,8 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="ports-leaf",
         description=(
-            "repro.ports is the hexagonal port vocabulary (clock, rng, "
-            "concurrency) and a strict leaf: it imports nothing from repro, "
+            "repro.ports is the hexagonal port vocabulary (clock, rng) "
+            "and a strict leaf: it imports nothing from repro, "
             "so every layer -- including repro.sim -- may depend on it"
         ),
         scope=("repro.ports",),

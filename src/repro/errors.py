@@ -81,10 +81,6 @@ class DataNodeOfflineError(StorageError, ConnectionError):
     """The DataNode is down (crashed, restarting, or partitioned away)."""
 
 
-class CircuitOpenError(ReproError):
-    """A circuit breaker rejected the call without attempting it."""
-
-
 class RetriesExhaustedError(ReproError):
     """Every retry attempt against a remote target failed."""
 

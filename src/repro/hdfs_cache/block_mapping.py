@@ -52,6 +52,3 @@ class BlockMapping:
     def clear(self) -> None:
         """Forget everything (what a process restart does)."""
         self._entries.clear()
-
-    def cache_ids(self) -> list[str]:
-        return [entry.cache_id for entry in self._entries.values()]

@@ -355,9 +355,5 @@ class CachedDataNode:
         return cache_series, other_series
 
     @property
-    def cache_hit_bytes(self) -> int:
-        return sum(s.bytes_read for s in self.traffic if s.from_cache)
-
-    @property
     def total_bytes(self) -> int:
         return sum(s.bytes_read for s in self.traffic)

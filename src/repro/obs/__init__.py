@@ -48,8 +48,6 @@ from repro.obs.tracer import (
     SimTracer,
     current_tracer,
     installed_tracer,
-    reset_tracer,
-    set_tracer,
 )
 
 __all__ = [
@@ -85,8 +83,6 @@ __all__ = [
     "is_off_path",
     "jsonl_to_dicts",
     "process_type",
-    "reset_tracer",
-    "set_tracer",
     "spans_from_dicts",
     "spans_to_jsonl",
     "to_chrome_trace",

@@ -265,15 +265,6 @@ class KernelProfile:
             lines.append(f"{frames} {us}")
         return "\n".join(lines)
 
-    def folded_host_cpu(self) -> str:
-        """Folded host-CPU stacks (``ptype <cpu-microseconds>``); host side."""
-        lines = []
-        for ptype in sorted(self.host_cpu):
-            us = int(round(self.host_cpu[ptype] * 1e6))
-            if us > 0:
-                lines.append(f"{ptype} {us}")
-        return "\n".join(lines)
-
     def to_json(self, *, include_host: bool = False,
                 include_processes: bool = True, indent: int = 2) -> str:
         """Serialize; host fields only on request, under their own key."""

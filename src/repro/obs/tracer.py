@@ -180,16 +180,6 @@ def current_tracer() -> Any:
     return _active_tracer
 
 
-def set_tracer(tracer: Any) -> None:
-    global _active_tracer
-    _active_tracer = tracer
-
-
-def reset_tracer() -> None:
-    global _active_tracer
-    _active_tracer = NOOP_TRACER
-
-
 @contextmanager
 def installed_tracer(tracer: Any) -> Iterator[Any]:
     """Install ``tracer`` for the duration of a ``with`` block."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.scope import CacheScope
-
 
 @dataclass(frozen=True, slots=True)
 class DataFile:
@@ -64,9 +62,6 @@ class TableDef:
             for partition in self.partitions.values()
             for data_file in partition.files
         ]
-
-    def scope_for_partition(self, partition: str) -> CacheScope:
-        return CacheScope.for_partition(self.schema, self.name, partition)
 
 
 class Catalog:

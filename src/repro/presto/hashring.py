@@ -118,9 +118,6 @@ class ConsistentHashRing:
             self.remove_node(node)
         return expired
 
-    def is_online(self, node: str) -> bool:
-        return node in self._nodes and node not in self._offline_since
-
     @property
     def nodes(self) -> set[str]:
         return set(self._nodes)

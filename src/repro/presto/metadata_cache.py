@@ -52,13 +52,6 @@ class MetadataCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry (e.g. the backing file changed)."""
-        if key not in self._entries:
-            return False
-        del self._entries[key]
-        return True
-
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.analysis.percentile import percentile
-
 
 @dataclass(slots=True)
 class QueryRuntimeStats:
@@ -40,10 +38,6 @@ class QueryRuntimeStats:
         total = self.page_hits + self.page_misses
         return self.page_hits / total if total else 0.0
 
-    @property
-    def scanned_bytes(self) -> int:
-        return self.bytes_from_cache + self.bytes_from_remote
-
     def merge_read(self, result) -> None:
         """Fold a :class:`~repro.core.cache_manager.CacheReadResult` in."""
         self.page_hits += result.page_hits
@@ -58,7 +52,6 @@ class TableInsight:
 
     table: str
     queries: int = 0
-    input_wall_samples: list[float] = field(default_factory=list)
     bytes_from_cache: int = 0
     bytes_from_remote: int = 0
     partition_access_counts: dict[str, int] = field(default_factory=dict)
@@ -67,9 +60,6 @@ class TableInsight:
     def cache_byte_ratio(self) -> float:
         total = self.bytes_from_cache + self.bytes_from_remote
         return self.bytes_from_cache / total if total else 0.0
-
-    def input_wall_percentile(self, q: float) -> float:
-        return percentile(self.input_wall_samples, q)
 
     def hot_partitions(self, top: int = 5) -> list[tuple[str, int]]:
         """Most frequently accessed partitions, hottest first."""
@@ -95,17 +85,12 @@ class RuntimeStatsAggregator:
             insight = self._tables[table]
             insight.table = table
             insight.queries += 1
-            insight.input_wall_samples.append(stats.input_wall * share)
             insight.bytes_from_cache += int(stats.bytes_from_cache * share)
             insight.bytes_from_remote += int(stats.bytes_from_remote * share)
         for partition in stats.partitions:
             for table in stats.tables:
                 counts = self._tables[table].partition_access_counts
                 counts[partition] = counts.get(partition, 0) + 1
-
-    @property
-    def query_count(self) -> int:
-        return len(self._queries)
 
     def queries(self) -> list[QueryRuntimeStats]:
         return list(self._queries)
@@ -115,19 +100,3 @@ class RuntimeStatsAggregator:
 
     def tables(self) -> list[str]:
         return sorted(self._tables)
-
-    def input_wall_percentile(self, q: float) -> float:
-        """Fleet-wide percentile of per-query scan wall time (Figure 10)."""
-        return percentile([s.input_wall for s in self._queries], q)
-
-    def total_wall_percentile(self, q: float) -> float:
-        """Fleet-wide percentile of per-query latency (Meta's P50/P95)."""
-        return percentile([s.total_wall for s in self._queries], q)
-
-    @property
-    def total_remote_bytes(self) -> int:
-        return sum(s.bytes_from_remote for s in self._queries)
-
-    @property
-    def total_cache_bytes(self) -> int:
-        return sum(s.bytes_from_cache for s in self._queries)

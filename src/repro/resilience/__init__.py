@@ -26,7 +26,7 @@ the same seed produce identical retry/hedge/breaker event sequences.
 from repro.resilience.breaker import BreakerBoard, BreakerState, CircuitBreaker
 from repro.resilience.health import NodeHealthTracker
 from repro.resilience.hedge import HedgePolicy
-from repro.resilience.injector import ChaosInjector, FaultyDataSource, RemoteFaultState
+from repro.resilience.injector import ChaosInjector, RemoteFaultState
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.source import ResilientDataSource
 
@@ -35,7 +35,6 @@ __all__ = [
     "BreakerState",
     "ChaosInjector",
     "CircuitBreaker",
-    "FaultyDataSource",
     "HedgePolicy",
     "NodeHealthTracker",
     "RemoteFaultState",

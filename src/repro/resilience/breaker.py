@@ -114,13 +114,6 @@ class CircuitBreaker:
             self._probes_used = 0
             self._log("half_open")
 
-    def failure_ratio(self) -> float:
-        self._prune(self.clock.now())
-        if not self._events:
-            return 0.0
-        failures = sum(1 for __, ok in self._events if not ok)
-        return failures / len(self._events)
-
     # -- call-site protocol --------------------------------------------------
 
     def allow(self) -> bool:
@@ -227,13 +220,6 @@ class BreakerBoard:
 
     def states(self) -> dict[str, str]:
         return {name: b.state.value for name, b in sorted(self._breakers.items())}
-
-    def open_targets(self) -> set[str]:
-        return {
-            name
-            for name, breaker in self._breakers.items()
-            if breaker.state is BreakerState.OPEN
-        }
 
     def total_trips(self) -> int:
         return sum(b.trips for b in self._breakers.values())

@@ -64,9 +64,6 @@ class NodeHealthTracker:
             return True
         return self.breakers.for_target(node).available
 
-    def filter_available(self, nodes) -> list[str]:
-        return [node for node in nodes if self.is_available(node)]
-
     def snapshot(self) -> dict[str, dict]:
         """Per-node health summary for dashboards and tests."""
         nodes = (

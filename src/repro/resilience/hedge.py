@@ -82,10 +82,6 @@ class HedgePolicy:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self._history.append(latency)
 
-    @property
-    def observations(self) -> int:
-        return len(self._history)
-
     def threshold(self) -> float | None:
         """Current hedge-trigger latency, or ``None`` while unarmed."""
         if len(self._history) < self.min_observations:

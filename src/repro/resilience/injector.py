@@ -5,12 +5,11 @@ store (``FaultPlan``); this module extends fault injection to every remote
 actor in the cluster:
 
 - **crash/revive/restart** any registered node (cache workers, DataNodes,
-  Presto workers, cached DataNodes) -- immediately, on an
-  :class:`~repro.sim.kernel.Kernel` timer schedule, or probabilistically;
+  Presto workers, cached DataNodes) -- immediately or on an
+  :class:`~repro.sim.kernel.Kernel` timer schedule;
 - **delay / fail / corrupt** remote requests through a
   :class:`RemoteFaultState` attached to an
-  :class:`~repro.storage.object_store.ObjectStore` or a
-  :class:`FaultyDataSource` wrapper around any ``DataSource``;
+  :class:`~repro.storage.object_store.ObjectStore` (its ``set_chaos``);
 - **partition** a node from a consistent-hash ring (reachable storage,
   unreachable peer).
 
@@ -25,11 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.metrics import MetricsRegistry
-from repro.errors import RemoteCorruptionError, RemoteReadError
 from repro.ports.clock import Clock, SimClock
 from repro.sim.kernel import Kernel
 from repro.ports.rng import RngStream
-from repro.storage.remote import DataSource, ReadResult
 
 
 @dataclass(slots=True)
@@ -67,80 +64,13 @@ class RemoteFaultState:
         )
 
 
-def apply_remote_faults(
-    state: RemoteFaultState | None,
-    rng: RngStream,
-    latency: float,
-    *,
-    target: str,
-    metrics: MetricsRegistry | None = None,
-) -> float:
-    """Roll the fault dice for one remote request; returns adjusted latency.
-
-    Raises :class:`RemoteReadError` / :class:`RemoteCorruptionError` on
-    injected hard faults.  Draws happen only for armed fault types, so a
-    zero-probability configuration consumes no randomness.
-    """
-    if state is None or not state.active:
-        return latency
-    if state.fail_probability > 0 and (
-        float(rng.rng.random()) < state.fail_probability
-    ):
-        if metrics is not None:
-            metrics.counter("chaos_remote_failures").inc()
-        raise RemoteReadError(f"injected remote failure on {target}")
-    if state.corrupt_probability > 0 and (
-        float(rng.rng.random()) < state.corrupt_probability
-    ):
-        if metrics is not None:
-            metrics.counter("chaos_remote_corruptions").inc()
-        raise RemoteCorruptionError(f"injected corruption in transit on {target}")
-    if state.delay_probability > 0 and (
-        float(rng.rng.random()) < state.delay_probability
-    ):
-        if metrics is not None:
-            metrics.counter("chaos_remote_delays").inc()
-        return latency + state.delay_seconds
-    return latency
-
-
-class FaultyDataSource:
-    """Wraps any ``DataSource`` with injectable delay/failure/corruption."""
-
-    def __init__(
-        self,
-        inner: DataSource,
-        rng: RngStream,
-        *,
-        faults: RemoteFaultState | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.inner = inner
-        self.rng = rng
-        self.faults = faults if faults is not None else RemoteFaultState()
-        self.metrics = metrics
-
-    def file_length(self, file_id: str) -> int:
-        return self.inner.file_length(file_id)
-
-    def read(self, file_id: str, offset: int, length: int) -> ReadResult:
-        result = self.inner.read(file_id, offset, length)
-        latency = apply_remote_faults(
-            self.faults, self.rng, result.latency,
-            target=file_id, metrics=self.metrics,
-        )
-        if latency == result.latency:
-            return result
-        return ReadResult(data=result.data, latency=latency)
-
-
 class ChaosInjector:
     """Registry + orchestration of cluster-wide fault injection.
 
     Nodes register under a name and must expose ``fail()``/``recover()``
     (crash/revive) or ``restart()`` (process restart losing volatile
-    state).  Faults fire immediately, on an event-loop schedule, or
-    probabilistically per call; each one lands in :attr:`events` as
+    state).  Faults fire immediately or on an event-loop schedule; each one
+    lands in :attr:`events` as
     ``(virtual_time, action, target)``.
     """
 
@@ -168,10 +98,6 @@ class ChaosInjector:
 
     def target(self, name: str) -> object:
         return self._targets[name]
-
-    @property
-    def target_names(self) -> list[str]:
-        return sorted(self._targets)
 
     def _record(self, action: str, target: str) -> None:
         self.events.append((self.clock.now(), action, target))
@@ -203,15 +129,6 @@ class ChaosInjector:
         loop.call_at(at, lambda: self.crash(name))
         loop.call_at(at + duration, lambda: self.revive(name))
 
-    def maybe_crash(self, name: str, probability: float) -> bool:
-        """Crash ``name`` with the given probability (one rng draw)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if probability > 0 and float(self.rng.rng.random()) < probability:
-            self.crash(name)
-            return True
-        return False
-
     # -- network faults ------------------------------------------------------
 
     def partition(self, name: str, ring) -> None:
@@ -220,27 +137,17 @@ class ChaosInjector:
         ring.mark_offline(name, self.clock.now())
         self._record("partition", name)
 
-    def heal_partition(self, name: str, ring) -> None:
-        ring.mark_online(name)
-        self._record("heal_partition", name)
-
     # -- remote-request faults -----------------------------------------------
 
     def set_remote_faults(self, target: object, state: RemoteFaultState) -> None:
-        """Arm probabilistic request faults on an ``ObjectStore`` (via
-        ``set_chaos``) or a :class:`FaultyDataSource` (``faults``)."""
-        if hasattr(target, "set_chaos"):
-            rng = getattr(target, "chaos_rng", None)
-            if rng is None:
-                rng = self.rng.child(f"remote/{type(target).__name__}")
-            target.set_chaos(state, rng)
-        elif hasattr(target, "faults"):
-            target.faults = state
-        else:
+        """Arm probabilistic request faults on an ``ObjectStore`` (its
+        ``set_chaos``); an inert ``RemoteFaultState()`` disarms them."""
+        if not hasattr(target, "set_chaos"):
             raise TypeError(
                 f"{type(target).__name__} accepts no remote fault state"
             )
+        rng = getattr(target, "chaos_rng", None)
+        if rng is None:
+            rng = self.rng.child(f"remote/{type(target).__name__}")
+        target.set_chaos(state, rng)
         self._record("remote_faults", type(target).__name__)
-
-    def clear_remote_faults(self, target: object) -> None:
-        self.set_remote_faults(target, RemoteFaultState())

@@ -56,16 +56,6 @@ class RetryPolicy:
                 f"attempt_timeout must be positive, got {self.attempt_timeout}"
             )
 
-    @classmethod
-    def no_retries(cls) -> "RetryPolicy":
-        return cls(max_attempts=1)
-
-    @classmethod
-    def aggressive(cls) -> "RetryPolicy":
-        """Low-latency tier: quick, tightly bounded retries."""
-        return cls(max_attempts=4, base_delay=0.01, max_delay=0.5,
-                   attempt_timeout=1.0)
-
     def backoff(self, attempt: int, rng: RngStream | None = None) -> float:
         """Delay charged before attempt ``attempt + 1`` (``attempt`` is the
         1-based attempt that just failed)."""
@@ -75,7 +65,3 @@ class RetryPolicy:
         if self.jitter and rng is not None and delay > 0:
             delay *= 1.0 + self.jitter * (2.0 * float(rng.rng.random()) - 1.0)
         return delay
-
-    def total_backoff_budget(self, rng: RngStream | None = None) -> float:
-        """Worst-case backoff a call can accumulate (planning helper)."""
-        return sum(self.backoff(a, rng) for a in range(1, self.max_attempts))

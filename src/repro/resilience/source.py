@@ -9,9 +9,9 @@ unreliable backend (object store, synthetic lake, DFS).  Per request it:
 2. attempts the read under the retry policy: transient failures
    (:class:`~repro.errors.RemoteReadError`, ``ConnectionError``) back off
    exponentially with deterministic jitter;
-3. inside a kernel process (:meth:`ResilientDataSource.read_proc`, or any
-   read under IO collection), lives the winning attempt: raced against the
-   per-attempt deadline and cancelled there, or raced against a
+3. under IO collection, replayed inside a kernel process, lives the
+   winning attempt: raced against the per-attempt deadline and cancelled
+   there, or raced against a
    :class:`~repro.resilience.hedge.HedgePolicy` backup whose loser is
    cancelled mid-transfer.
 
@@ -98,8 +98,8 @@ class ResilientDataSource:
         ):
             raise ValueError(
                 "a hedge or attempt_timeout needs a kernel to race the "
-                "attempt against: read inside a kernel process with "
-                "ResilientDataSource.read_proc"
+                "attempt against: read under collecting_io and replay the "
+                "plan inside a kernel process"
             )
         policy = self.policy
         span = current_tracer().current()
@@ -378,15 +378,3 @@ class ResilientDataSource:
                 self.inner.read(file_id, offset, length)
             elapsed = yield from replay_plan(subplan)
         return elapsed
-
-    def read_proc(self, file_id: str, offset: int, length: int):
-        """Kernel-process entry point: collect this read, then live it.
-
-        ``yield from`` inside a kernel process; returns a
-        :class:`ReadResult` whose latency is measured wall time.
-        """
-        plan: list = []
-        with collecting_io(plan):
-            result = self.read(file_id, offset, length)
-        latency = yield from replay_plan(plan)
-        return ReadResult(data=result.data, latency=latency)

@@ -170,11 +170,6 @@ class AsyncCacheClient(asyncio.BufferedProtocol):
         assert isinstance(response, wire.StatsResponse)
         return json.loads(response.payload)
 
-    async def stats_prometheus(self) -> str:
-        response = await self.request(StatsRequest(fmt=1))
-        assert isinstance(response, wire.StatsResponse)
-        return response.payload.decode()
-
     async def health(self) -> dict[str, Any]:
         response = await self.request(HealthRequest())
         assert isinstance(response, wire.HealthResponse)

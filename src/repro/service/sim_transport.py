@@ -9,22 +9,22 @@ core and ``repro.sim`` are allowed to meet.
 
 Two things live here:
 
-- :func:`build_sim_cache` / :func:`build_sim_engine` -- the construction
-  path every simulation caller (Presto workers, the cached DataNode,
-  ``repro-cachesim``) uses to stand the core up in virtual time.  Keeping construction in one place is what makes
-  the core's transport-agnosticism auditable.
+- :func:`build_sim_cache` -- the construction path every simulation
+  caller (Presto workers, the cached DataNode, ``repro-cachesim``) uses to
+  stand the core up in virtual time.  Keeping construction in one place
+  is what makes the core's transport-agnosticism auditable.
 - :class:`SimTransport` -- a closed-loop driver that replays a request
-  sequence through the engine under the kernel with N concurrent client
-  processes (deferred-IO collection + replay, device queueing included).
-  ``tests/service/test_sim_vs_real.py`` runs one key sequence through
-  this and through a real socket and asserts identical hit, miss and
-  eviction counts.
+  sequence through a :class:`~repro.core.engine.CacheEngine` under the
+  kernel with N concurrent client processes (deferred-IO collection +
+  replay, device queueing included).  ``tests/service/test_sim_vs_real.py``
+  runs one key sequence through this and through a real socket and
+  asserts identical hit, miss and eviction counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.cache_manager import LocalCacheManager
 from repro.core.config import CacheConfig
@@ -32,10 +32,6 @@ from repro.core.engine import CacheEngine
 from repro.core.pagestore.simulated import SimulatedSsdPageStore
 from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel, collecting_io, replay_plan
-
-if TYPE_CHECKING:
-    from repro.ports.concurrency import SchedulerPort
-    from repro.storage.remote import DataSource
 
 
 def build_sim_cache(
@@ -48,7 +44,6 @@ def build_sim_cache(
     quota=None,
     metrics=None,
     rng=None,
-    event_loop: "SchedulerPort | None" = None,
 ) -> LocalCacheManager:
     """Construct the cache core for a virtual-time caller.
 
@@ -70,57 +65,7 @@ def build_sim_cache(
         quota=quota,
         metrics=metrics,
         rng=rng,
-        event_loop=event_loop,
     )
-
-
-def build_sim_engine(
-    config: CacheConfig | None = None,
-    *,
-    source: "DataSource | None" = None,
-    kernel: Kernel | None = None,
-    clock: SimClock | None = None,
-    device=None,
-    admission=None,
-    quota=None,
-    metrics=None,
-    rng=None,
-) -> CacheEngine:
-    """A :class:`CacheEngine` wired for virtual time.
-
-    The kernel (or a bare :class:`SimClock`) supplies the clock port; the
-    kernel's timer API is the scheduler port for TTL sweeps.
-    """
-    if kernel is not None and clock is not None and kernel.clock is not clock:
-        raise ValueError("kernel and clock disagree; pass one or the other")
-    if kernel is not None:
-        clock = kernel.clock
-    elif clock is None:
-        clock = SimClock()
-    return CacheEngine(
-        config,
-        source=source,
-        clock=clock,
-        scheduler=KernelScheduler(kernel) if kernel is not None else None,
-        page_store=SimulatedSsdPageStore(device) if device is not None else None,
-        admission=admission,
-        quota=quota,
-        metrics=metrics,
-        rng=rng,
-    )
-
-
-class KernelScheduler:
-    """Adapt a :class:`Kernel` to the ``SchedulerPort`` verb: the one way
-    virtual-time callers hand the cache core its periodic TTL sweep."""
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: Kernel) -> None:
-        self._kernel = kernel
-
-    def schedule_periodic(self, interval: float, fn):
-        return self._kernel.call_periodic(interval, fn)
 
 
 @dataclass(slots=True)

@@ -48,25 +48,6 @@ def host_cpu_now() -> float:
     return _cpu_source()
 
 
-def set_host_clock(
-    perf: Callable[[], float] | None = None,
-    cpu: Callable[[], float] | None = None,
-) -> None:
-    """Replace one or both host time sources (tests / replay tooling)."""
-    global _perf_source, _cpu_source
-    if perf is not None:
-        _perf_source = perf
-    if cpu is not None:
-        _cpu_source = cpu
-
-
-def reset_host_clock() -> None:
-    """Restore the real host time sources."""
-    global _perf_source, _cpu_source
-    _perf_source = time.perf_counter
-    _cpu_source = time.process_time
-
-
 @contextmanager
 def installed_host_clock(
     perf: Callable[[], float] | None = None,

@@ -41,9 +41,9 @@ service time and record no wait.  The substrate:
   at kernel resources.  Decisions happen at the arrival instant; time
   becomes emergent.
 
-The kernel is also the one timer API for plain callbacks (TTL sweeps,
-fault schedules, metric flushes): :meth:`Kernel.call_at` /
-:meth:`Kernel.call_after` / :meth:`Kernel.call_periodic`, drained by
+The kernel is also the one timer API for plain callbacks (fault
+schedules, metric flushes): :meth:`Kernel.call_at` /
+:meth:`Kernel.call_after`, drained by
 :meth:`Kernel.run_until` / :meth:`Kernel.run_all`.
 
 The kernel requires a :class:`~repro.ports.clock.SimClock` (or a subclass
@@ -453,11 +453,6 @@ class Channel:
         self._items.clear()
         return items
 
-    @property
-    def backlog(self) -> int:
-        """Items queued and not yet claimed by a getter."""
-        return len(self._items)
-
 
 class _Combinator:
     """Base for :func:`any_of` / :func:`all_of` wait groups."""
@@ -811,39 +806,6 @@ class Kernel:
                 handle.on_cancel = self.profiler.on_timer_cancel
                 self.profiler.on_heap_push(len(heap), timer=True)
         return handles
-
-    def call_periodic(
-        self, interval: float, callback: Callable[[], None], *,
-        start: float | None = None,
-    ) -> _TimerHandle:
-        """Fire ``callback`` every ``interval`` seconds until cancelled."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        handle = _TimerHandle(self)
-        first = self.clock._now + interval if start is None else start
-
-        def fire() -> None:
-            if handle.cancelled:
-                return
-            callback()
-            if not handle.cancelled:
-                seq = self._seq
-                self._seq = seq + 1
-                _heappush(self._heap,
-                          (self.clock._now + interval, seq, handle, fire))
-                handle.scheduled = True
-                self._pending += 1
-                if self._profiling:
-                    self.profiler.on_heap_push(len(self._heap), timer=True)
-
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._heap, (first, seq, handle, fire))
-        self._pending += 1
-        if self._profiling:
-            handle.on_cancel = self.profiler.on_timer_cancel
-            self.profiler.on_heap_push(len(self._heap), timer=True)
-        return handle
 
     # -- the drain loops ----------------------------------------------------
     #

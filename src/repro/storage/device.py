@@ -13,7 +13,7 @@ benchmarks can bucket it per minute.
 Queueing is lived on the event kernel and nowhere else.  A device bound to
 a :class:`~repro.sim.kernel.Kernel` (:meth:`StorageDevice.attach_kernel`)
 is a FIFO :class:`~repro.sim.kernel.Resource` of ``channels`` slots: a
-read or write issued by a kernel process (:meth:`StorageDevice.read_proc`,
+read or write issued by a kernel process (:meth:`StorageDevice.write_proc`,
 or any read under deferred-I/O collection) genuinely blocks in its queue,
 waits are measured from live occupancy, and a cancelled request accounts
 the bytes its partial transfer wasted.  Outside a kernel process a read or
@@ -101,10 +101,6 @@ class RequestRecord:
     def latency(self) -> float:
         return self.wait + self.service
 
-    @property
-    def completion(self) -> float:
-        return self.arrival + self.latency
-
 
 @dataclass(slots=True)
 class DeviceStats:
@@ -159,8 +155,8 @@ class StorageDevice:
     def attach_kernel(self, kernel: "Kernel") -> "StorageDevice":
         """Bind the device to an event kernel.
 
-        Reads/writes issued by its processes (``read_proc``/``write_proc``,
-        or under deferred-I/O collection) then block at a FIFO resource.
+        Writes issued by its processes (``write_proc``) and reads or writes
+        under deferred-I/O collection then block at a FIFO resource.
         """
         self._resource = kernel.resource(
             self.profile.channels, name=f"device/{self.profile.name}"
@@ -224,15 +220,6 @@ class StorageDevice:
         return self._submit(size, is_read=False)
 
     # -- kernel processes ----------------------------------------------------
-
-    def read_proc(self, size: int):
-        """Process-style read: experiences queueing, returns measured latency."""
-        if self._resource is None:
-            raise RuntimeError("read_proc requires attach_kernel()")
-        self.stats.reads += 1
-        self.stats.bytes_read += size
-        service = self.profile.seek_latency + size / self.profile.read_bandwidth
-        return (yield from self._transfer_op(size, service, is_read=True))
 
     def write_proc(self, size: int):
         """Process-style write: experiences queueing, returns measured latency."""

@@ -58,10 +58,6 @@ class BlockMetaFile:
         )
         return cls(checksums=sums)
 
-    def verify(self, data: bytes) -> bool:
-        """True if ``data`` matches every chunk checksum."""
-        return self == BlockMetaFile.for_data(data)
-
     @property
     def size_bytes(self) -> int:
         """Approximate on-disk size of the meta file (4 bytes per chunk + header)."""
@@ -94,6 +90,3 @@ class Block:
             data=new_data,
             meta=BlockMetaFile.for_data(new_data),
         )
-
-    def verify(self) -> bool:
-        return self.meta.verify(self.data)

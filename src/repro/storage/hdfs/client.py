@@ -133,6 +133,3 @@ class DfsClient:
             remaining_offset += take
             remaining_length -= take
         return ReadResult(data=b"".join(parts), latency=latency)
-
-    def read_fully(self, path: str) -> ReadResult:
-        return self.read(path, 0, self.file_length(path))

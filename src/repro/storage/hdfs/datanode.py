@@ -79,12 +79,6 @@ class DataNode:
             )
         return block
 
-    def latest_identity(self, block_id: int) -> BlockId:
-        versions = self._blocks.get(block_id)
-        if not versions:
-            raise BlockNotFoundError(f"blk_{block_id}")
-        return BlockId(block_id, max(versions))
-
     # -- reads ---------------------------------------------------------------------
 
     def read_block(
@@ -144,15 +138,3 @@ class DataNode:
     def recover(self) -> None:
         """Bring the node back; its finalized blocks survived on the HDD."""
         self.online = True
-
-    # -- reporting --------------------------------------------------------------------
-
-    def block_count(self) -> int:
-        return sum(len(v) for v in self._blocks.values())
-
-    def bytes_stored(self) -> int:
-        return sum(
-            block.length
-            for versions in self._blocks.values()
-            for block in versions.values()
-        )

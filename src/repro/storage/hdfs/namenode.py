@@ -104,9 +104,6 @@ class NameNode:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    def list_files(self) -> list[str]:
-        return sorted(self._files)
-
     # -- block operations ---------------------------------------------------------
 
     def locate_block(self, identity: BlockId) -> list[DataNode]:

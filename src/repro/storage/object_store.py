@@ -65,11 +65,6 @@ class ObjectStoreProfile:
         """Cloud object storage: ~30 ms TTFB, ~120 MB/s per stream."""
         return cls(base_latency=0.03, bandwidth=120e6)
 
-    @classmethod
-    def hdfs_remote(cls) -> "ObjectStoreProfile":
-        """Remote HDFS over the data-center network: lower TTFB."""
-        return cls(base_latency=0.004, bandwidth=400e6)
-
 
 class ObjectStore:
     """In-memory object payloads plus the latency/throttle model."""
@@ -118,9 +113,6 @@ class ObjectStore:
     def put_object(self, name: str, data: bytes) -> None:
         self._objects[name] = bytes(data)
 
-    def delete_object(self, name: str) -> bool:
-        return self._objects.pop(name, None) is not None
-
     def contains(self, name: str) -> bool:
         return name in self._objects
 
@@ -129,9 +121,6 @@ class ObjectStore:
             return len(self._objects[name])
         except KeyError:
             raise FileNotFoundInStorageError(name) from None
-
-    def list_objects(self) -> list[str]:
-        return sorted(self._objects)
 
     # -- data path --------------------------------------------------------------
 

@@ -13,12 +13,8 @@
   scan/compute profiles driving the Presto simulator (Figures 9/15/16).
 """
 
-from repro.workload.arrivals import (
-    bursty_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
-from repro.workload.fragments import FragmentedReadGenerator, read_size_cdf
+from repro.workload.arrivals import bursty_arrivals, poisson_arrivals
+from repro.workload.fragments import FragmentedReadGenerator
 from repro.workload.traces import BlockAccess, HostTraceSpec, TraceGenerator, TraceStats
 from repro.workload.zipf import ZipfFit, ZipfSampler, fit_zipf_exponent
 
@@ -31,8 +27,6 @@ __all__ = [
     "TraceGenerator",
     "TraceStats",
     "FragmentedReadGenerator",
-    "read_size_cdf",
     "poisson_arrivals",
-    "diurnal_arrivals",
     "bursty_arrivals",
 ]

@@ -1,12 +1,11 @@
 """Query arrival processes for concurrent-load experiments.
 
 The paper's production clusters serve ~500 K queries/day with pronounced
-diurnal cycles and bursts (dashboards refresh together).  These generators
+bursts (dashboards refresh together).  These generators
 produce arrival timestamps for
 :meth:`~repro.presto.coordinator.Coordinator.run_concurrent_kernel`:
 
 - :func:`poisson_arrivals` -- homogeneous Poisson (memoryless baseline),
-- :func:`diurnal_arrivals` -- sinusoidal rate via thinning (day/night),
 - :func:`bursty_arrivals` -- a two-state on/off modulated process
   (dashboard storms over a quiet background).
 """
@@ -37,36 +36,6 @@ def poisson_arrivals(
         more = rng.rng.exponential(1.0 / rate, size=slack)
         times = np.concatenate([times, times[-1] + np.cumsum(more)])
     return times[times < duration]
-
-
-def diurnal_arrivals(
-    base_rate: float,
-    peak_rate: float,
-    duration: float,
-    rng: RngStream,
-    *,
-    period: float = 86_400.0,
-) -> np.ndarray:
-    """Non-homogeneous Poisson with a sinusoidal day/night rate.
-
-    The instantaneous rate swings between ``base_rate`` (trough) and
-    ``peak_rate`` (midday); implemented by thinning a homogeneous process
-    at the peak rate.
-    """
-    if not 0 < base_rate <= peak_rate:
-        raise ValueError(
-            f"need 0 < base_rate <= peak_rate, got {base_rate}/{peak_rate}"
-        )
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    candidates = poisson_arrivals(peak_rate, duration, rng.child("thinning"))
-    mid = (base_rate + peak_rate) / 2
-    amplitude = (peak_rate - base_rate) / 2
-    instantaneous = mid - amplitude * np.cos(2 * math.pi * candidates / period)
-    keep = rng.child("accept").rng.random(candidates.size) < (
-        instantaneous / peak_rate
-    )
-    return candidates[keep]
 
 
 def bursty_arrivals(

@@ -93,12 +93,3 @@ class FragmentedReadGenerator:
             offset = int(rng.integers(0, max(file_length - size, 0) + 1))
             requests.append(ReadRequest(file_ids[int(pick)], offset, size))
         return requests
-
-
-def read_size_cdf(sizes: np.ndarray, anchors: list[int]) -> dict[int, float]:
-    """Fraction of reads at or below each anchor size (for the Section 2.2
-    '<10 KB' / '<1 MB' checks)."""
-    sizes = np.asarray(sizes)
-    if sizes.size == 0:
-        return {a: 0.0 for a in anchors}
-    return {a: float((sizes <= a).mean()) for a in anchors}

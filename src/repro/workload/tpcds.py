@@ -19,7 +19,7 @@ from repro.presto.catalog import Catalog, build_table
 from repro.presto.query import QueryProfile, TableScan
 from repro.presto.operators import ScanProfile
 from repro.ports.rng import RngStream
-from repro.storage.remote import NullDataSource, SyntheticDataSource
+from repro.storage.remote import NullDataSource
 
 MIB = 1024 * 1024
 
@@ -40,19 +40,6 @@ _DIM_TABLES = (
     ("tpcds.warehouse", 0.01, 1, 1, 14),
     ("tpcds.web_site", 0.01, 1, 1, 26),
 )
-
-
-def build_tpcds_catalog(
-    total_bytes: int = 256 * MIB,
-) -> tuple[Catalog, SyntheticDataSource]:
-    """The TPC-DS-shaped catalog plus a synthetic S3-like source.
-
-    ``total_bytes`` scales the dataset (the paper's SF100 is ~100 GB; the
-    default keeps simulations laptop-sized while preserving the byte-share
-    ratios between tables).
-    """
-    catalog, source = _build(total_bytes, SyntheticDataSource())
-    return catalog, source
 
 
 def build_tpcds_catalog_fast(

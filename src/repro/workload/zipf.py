@@ -44,17 +44,6 @@ class ZipfSampler:
         u = self._rng.rng.random(count)
         return np.searchsorted(self._cdf, u, side="left")
 
-    def expected_share_of_top(self, k: int) -> float:
-        """The probability mass of the ``k`` most popular items.
-
-        Useful to calibrate "top 10K blocks carry 89-99 % of reads"
-        (Table 1) before generating a trace.
-        """
-        if k <= 0:
-            return 0.0
-        k = min(k, self.n_items)
-        return float(self._cdf[k - 1])
-
 
 @dataclass(frozen=True, slots=True)
 class ZipfFit:

@@ -1,18 +1,8 @@
-"""Tests for percentile helpers, time-series bucketing, and report tables."""
+"""Tests for percentile helpers and report tables."""
 
 import pytest
 
-from repro.analysis import (
-    Table,
-    bucket_series,
-    format_bytes,
-    format_seconds,
-    percentile,
-    percentiles,
-    rate_series,
-    reduction,
-)
-from repro.analysis.timeseries import mean_of
+from repro.analysis import Table, format_bytes, percentile, reduction
 
 
 class TestPercentiles:
@@ -29,69 +19,10 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             percentile([1.0], 101)
 
-    def test_percentiles_dict(self):
-        result = percentiles([1.0, 2.0, 3.0], qs=(50, 100))
-        assert result == {50: 2.0, 100: 3.0}
-
     def test_reduction(self):
         assert reduction(100, 33) == pytest.approx(0.67)
         assert reduction(0, 10) == 0.0
         assert reduction(10, 10) == 0.0
-
-
-class TestTimeSeries:
-    def test_bucket_counts(self):
-        series = bucket_series([0.0, 30.0, 61.0, 200.0])
-        assert series == {0: 2.0, 1: 1.0, 2: 0.0, 3: 1.0}
-
-    def test_bucket_sums_values(self):
-        series = bucket_series([0.0, 30.0, 61.0], [10, 20, 5])
-        assert series[0] == 30.0
-        assert series[1] == 5.0
-
-    def test_dense_through_horizon(self):
-        series = bucket_series([0.0], horizon=300.0)
-        assert set(series) == {0, 1, 2, 3, 4, 5}
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            bucket_series([0.0, 1.0], [1])
-
-    def test_bad_bucket_width(self):
-        with pytest.raises(ValueError):
-            bucket_series([0.0], bucket_seconds=0)
-
-    def test_rate_series(self):
-        rates = rate_series({0: 600.0, 1: 1200.0}, bucket_seconds=60.0)
-        assert rates == {0: 10.0, 1: 20.0}
-
-    def test_mean_of(self):
-        assert mean_of([1.0, 3.0]) == 2.0
-        assert mean_of([]) == 0.0
-
-    def test_empty_series(self):
-        assert bucket_series([]) == {0: 0.0}
-
-    def test_empty_series_with_horizon(self):
-        series = bucket_series([], horizon=120.0)
-        assert series == {0: 0.0, 1: 0.0, 2: 0.0}
-
-    def test_single_sample(self):
-        assert bucket_series([45.0]) == {0: 1.0}
-
-    def test_single_sample_on_boundary(self):
-        # a lone sample exactly on a bucket boundary defines the last
-        # bucket and lands in it -- not dropped, no phantom key
-        series = bucket_series([60.0])
-        assert series == {0: 0.0, 1: 1.0}
-
-    def test_final_boundary_sample_clamped(self):
-        # horizon=120 -> dense buckets {0,1,2}; a sample at exactly t=120
-        # (and one beyond the horizon) must fold into the final bucket
-        # instead of spawning sparse phantom buckets
-        series = bucket_series([0.0, 120.0, 500.0], horizon=120.0)
-        assert set(series) == {0, 1, 2}
-        assert series == {0: 1.0, 1: 0.0, 2: 2.0}
 
 
 class TestReport:
@@ -118,6 +49,3 @@ class TestReport:
         assert format_bytes(2**20) == "1.0 MiB"
         assert format_bytes(1.5 * 2**30) == "1.5 GiB"
 
-    def test_format_seconds(self):
-        assert format_seconds(0.0123) == "12.3 ms"
-        assert format_seconds(2.5) == "2.50 s"

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cluster.churn import (
-    ChurnAction,
-    ChurnDriver,
-    autoscale_ramp,
-    correlated_failure,
-    rolling_restart,
-)
+from repro.cluster.churn import ChurnAction, ChurnDriver, correlated_failure
 from repro.sim.kernel import Kernel
 
 
@@ -48,22 +42,6 @@ class TestChurnAction:
 
 
 class TestBuilders:
-    def test_rolling_restart_staggers_nodes(self):
-        actions = rolling_restart(
-            ["a", "b"], start=10.0, interval=60.0, downtime=20.0,
-        )
-        assert [(a.at, a.kind, a.node) for a in actions] == [
-            (10.0, "crash", "a"), (30.0, "restart", "a"),
-            (70.0, "crash", "b"), (90.0, "restart", "b"),
-        ]
-        assert not any(a.lose_cache for a in actions)
-
-    def test_rolling_restart_validation(self):
-        with pytest.raises(ValueError):
-            rolling_restart(["a"], interval=0.0)
-        with pytest.raises(ValueError):
-            rolling_restart(["a"], downtime=-1.0)
-
     def test_correlated_failure_hits_group_at_once(self):
         actions = correlated_failure(["a", "b", "c"], at=50.0, downtime=30.0)
         crashes = [a for a in actions if a.kind == "crash"]
@@ -76,24 +54,6 @@ class TestBuilders:
     def test_correlated_failure_validation(self):
         with pytest.raises(ValueError):
             correlated_failure(["a"], at=10.0, downtime=0.0)
-
-    def test_autoscale_ramp_joins_on_cadence(self):
-        actions = autoscale_ramp(["a", "b"], start=0.0, interval=30.0)
-        assert [(a.at, a.kind, a.node) for a in actions] == [
-            (0.0, "join", "a"), (30.0, "join", "b"),
-        ]
-
-    def test_autoscale_ramp_with_hold_scales_back_down(self):
-        actions = autoscale_ramp(["a"], start=0.0, interval=30.0, hold=100.0)
-        assert [(a.at, a.kind) for a in actions] == [
-            (0.0, "join"), (100.0, "decommission"),
-        ]
-
-    def test_autoscale_ramp_validation(self):
-        with pytest.raises(ValueError):
-            autoscale_ramp(["a"], interval=0.0)
-        with pytest.raises(ValueError):
-            autoscale_ramp(["a"], hold=0.0)
 
 
 class TestDriver:

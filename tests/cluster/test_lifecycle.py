@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.churn import ChurnDriver, rolling_restart
+from repro.cluster.churn import ChurnAction, ChurnDriver
 from repro.cluster.lifecycle import ClusterLifecycle
 from repro.cluster.membership import NodeState
 from repro.cluster.rebalance import ShardRebalancer
@@ -44,7 +44,7 @@ class TestTransitions:
         worker = lifecycle.add_worker("worker-9")
         assert cluster.workers["worker-9"] is worker
         assert "worker-9" in cluster.ring.nodes
-        assert cluster.membership.state_of("worker-9") is NodeState.ONLINE
+        assert cluster.membership.states()["worker-9"] == NodeState.ONLINE.value
 
     def test_add_worker_rejects_duplicate(self):
         cluster, kernel, __ = build_cluster()
@@ -62,7 +62,7 @@ class TestTransitions:
         lifecycle.crash("worker-1", lose_cache=True)
         assert not worker.online
         assert worker.cache.bytes_used == 0
-        assert cluster.membership.state_of("worker-1") is NodeState.OFFLINE
+        assert cluster.membership.states()["worker-1"] == NodeState.OFFLINE.value
         assert "worker-1" in cluster.ring.nodes  # lazy data movement
 
     def test_restart_within_timeout_restores_owner_map(self):
@@ -87,7 +87,7 @@ class TestTransitions:
         lifecycle.decommission("worker-3")
         assert "worker-3" not in cluster.workers
         assert "worker-3" not in cluster.ring.nodes
-        assert cluster.membership.state_of("worker-3") is NodeState.LEFT
+        assert cluster.membership.states()["worker-3"] == NodeState.LEFT.value
 
     def test_expire_tick_retires_timed_out_nodes(self):
         cluster, kernel, clock = build_cluster(offline_timeout=300.0)
@@ -98,7 +98,7 @@ class TestTransitions:
         clock.advance(1.0)
         assert lifecycle.expire_tick() == ["worker-0"]
         assert "worker-0" not in cluster.workers
-        assert cluster.membership.state_of("worker-0") is NodeState.LEFT
+        assert cluster.membership.states()["worker-0"] == NodeState.LEFT.value
 
     def test_cold_restart_triggers_warmup(self):
         cluster, kernel, __ = build_cluster()
@@ -127,9 +127,12 @@ class TestKernelRunWithChurn:
         crashes and restores workers under it."""
         cluster, kernel, __ = build_cluster(n_workers=4)
         lifecycle = ClusterLifecycle(cluster, kernel=kernel)
-        schedule = rolling_restart(
-            ["worker-0", "worker-1"], start=5.0, interval=10.0, downtime=4.0,
-        )
+        # one node at a time, each back well within the offline timeout
+        schedule = [
+            ChurnAction(at=at, kind=kind, node=node)
+            for node, start in (("worker-0", 5.0), ("worker-1", 15.0))
+            for at, kind in ((start, "crash"), (start + 4.0, "restart"))
+        ]
         driver = ChurnDriver(lifecycle, schedule, expire_interval=60.0,
                              horizon=60.0)
         kernel.spawn(driver.proc(), name="churn-driver")

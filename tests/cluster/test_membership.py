@@ -26,24 +26,24 @@ def owners(membership):
 class TestStateMachine:
     def test_join_is_online(self):
         membership, __ = build()
-        assert membership.state_of("w0") is NodeState.ONLINE
+        assert membership.states()["w0"] == NodeState.ONLINE.value
         assert membership.online_nodes == {"w0", "w1", "w2", "w3"}
 
     def test_crash_restore_cycle(self):
         membership, __ = build()
         membership.crash("w1")
-        assert membership.state_of("w1") is NodeState.OFFLINE
+        assert membership.states()["w1"] == NodeState.OFFLINE.value
         assert "w1" not in membership.online_nodes
         # the seat survives while offline -- that is the lazy part
         assert "w1" in membership.ring.nodes
         membership.restore("w1")
-        assert membership.state_of("w1") is NodeState.ONLINE
+        assert membership.states()["w1"] == NodeState.ONLINE.value
         assert "w1" in membership.online_nodes
 
     def test_leave_is_permanent(self):
         membership, __ = build()
         membership.leave("w2")
-        assert membership.state_of("w2") is NodeState.LEFT
+        assert membership.states()["w2"] == NodeState.LEFT.value
         assert "w2" not in membership.ring.nodes
 
     def test_expire_after_timeout(self):
@@ -53,7 +53,7 @@ class TestStateMachine:
         assert membership.expire() == []
         clock.advance(1.0)
         assert membership.expire() == ["w3"]
-        assert membership.state_of("w3") is NodeState.LEFT
+        assert membership.states()["w3"] == NodeState.LEFT.value
         assert "w3" not in membership.ring.nodes
 
     def test_restore_after_expiry_is_fresh_join(self):
@@ -62,7 +62,7 @@ class TestStateMachine:
         clock.advance(200.0)
         membership.expire()
         membership.restore("w0")
-        assert membership.state_of("w0") is NodeState.ONLINE
+        assert membership.states()["w0"] == NodeState.ONLINE.value
         assert "w0" in membership.ring.nodes
 
     def test_states_view_sorted(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.admission import (
     AdmitAll,
-    AdmitNone,
     BucketTimeRateLimit,
     CacheFilter,
     FilterAdmissionPolicy,
@@ -22,12 +21,15 @@ def part(name: str) -> CacheScope:
     return TABLE_BAR.child(name)
 
 
+def windowed_totals(limiter: BucketTimeRateLimit, now: float) -> dict[str, int]:
+    """Per-key accesses the limiter still counts at ``now``."""
+    limiter._rotate(now)
+    return limiter._totals
+
+
 class TestTrivialPolicies:
     def test_admit_all(self):
         assert AdmitAll().admit("f", CacheScope.global_scope(), 0.0)
-
-    def test_admit_none(self):
-        assert not AdmitNone().admit("f", CacheScope.global_scope(), 0.0)
 
 
 class TestParseRules:
@@ -76,7 +78,7 @@ class TestCacheFilter:
             assert cache_filter.admit(part(f"p{n}"))
         # partition 100 evicts the least-recently-seen admitted partition
         assert cache_filter.admit(part("p100"))
-        assert len(cache_filter.admitted_partitions("schema_foo.table_bar")) == 100
+        assert len(cache_filter._admitted_partitions["schema_foo.table_bar"]) == 100
 
     def test_unmatched_table_uses_default(self):
         cache_filter = CacheFilter.from_json([{"table": "a.b"}])
@@ -105,8 +107,8 @@ class TestCacheFilter:
         assert cache_filter.admit(part("b"))
         assert cache_filter.admit(part("a"))  # refresh a
         assert cache_filter.admit(part("c"))  # retires b
-        admitted = cache_filter.admitted_partitions("schema_foo.table_bar")
-        assert admitted == ["a", "c"]
+        admitted = cache_filter._admitted_partitions["schema_foo.table_bar"]
+        assert list(admitted) == ["a", "c"]
 
     def test_shallow_scope_uses_default(self):
         cache_filter = CacheFilter.from_json([{"tablePattern": ".*"}])
@@ -132,7 +134,7 @@ class TestBucketTimeRateLimit:
         limiter = BucketTimeRateLimit(threshold=2, window_buckets=2, bucket_seconds=60)
         limiter.record("b", 0.0)
         # two minutes later the first bucket is gone
-        assert limiter.windowed_count("b", 125.0) == 0
+        assert windowed_totals(limiter, 125.0).get("b", 0) == 0
         assert not limiter.record_and_check("b", 126.0)
 
     def test_counts_aggregate_across_buckets(self):
@@ -141,8 +143,7 @@ class TestBucketTimeRateLimit:
         for minute, count in [(0, 4), (1, 6), (2, 5)]:
             for i in range(count):
                 limiter.record("b", minute * 60.0 + i)
-        assert limiter.windowed_count("b", 179.0) == 15
-        assert limiter.is_cache_worthy("b", 179.0)
+        assert windowed_totals(limiter, 179.0)["b"] == 15 == limiter.threshold
 
     def test_keys_are_independent(self):
         limiter = BucketTimeRateLimit(threshold=2)
@@ -153,8 +154,8 @@ class TestBucketTimeRateLimit:
         limiter = BucketTimeRateLimit(threshold=2, window_buckets=1, bucket_seconds=60)
         limiter.record("a", 0.0)
         limiter.record("b", 0.0)
-        assert limiter.tracked_keys(0.0) == 2
-        assert limiter.tracked_keys(120.0) == 0
+        assert len(windowed_totals(limiter, 0.0)) == 2
+        assert len(windowed_totals(limiter, 120.0)) == 0
 
     def test_admission_policy_protocol(self):
         limiter = BucketTimeRateLimit(threshold=2)
@@ -198,42 +199,26 @@ class TestBucketTimeRateLimit:
             expected = sum(
                 1 for k, t in log if k == key and oldest <= int(t // 60) <= current_epoch
             )
-            assert limiter.windowed_count(key, check_at) == expected
+            assert windowed_totals(limiter, check_at).get(key, 0) == expected
 
 
 class TestShadowCache:
-    def test_working_set_counts(self):
+    def test_seen_before_within_the_window(self):
         shadow = ShadowCache(window_buckets=2, bucket_seconds=60)
-        shadow.record("a", 100, 0.0)
-        shadow.record("b", 50, 10.0)
-        shadow.record("a", 100, 20.0)
-        assert shadow.working_set_files(20.0) == 2
-        assert shadow.working_set_bytes(20.0) == 150
+        scope = CacheScope.global_scope()
+        assert not shadow.admit("a", scope, 0.0)
+        assert not shadow.admit("b", scope, 10.0)
+        assert shadow.admit("a", scope, 20.0)
+        assert shadow.admit("b", scope, 61.0)  # the previous bucket counts
 
     def test_window_expiry(self):
         shadow = ShadowCache(window_buckets=1, bucket_seconds=60)
-        shadow.record("a", 100, 0.0)
-        assert shadow.working_set_files(120.0) == 0
-
-    def test_max_size_within_window(self):
-        shadow = ShadowCache(window_buckets=2, bucket_seconds=60)
-        shadow.record("a", 100, 0.0)
-        shadow.record("a", 300, 61.0)  # grew
-        assert shadow.working_set_bytes(61.0) == 300
-
-    def test_infinite_hit_ratio(self):
-        shadow = ShadowCache(window_buckets=10, bucket_seconds=60)
-        shadow.record("a", 1, 0.0)  # miss
-        shadow.record("a", 1, 1.0)  # hit
-        shadow.record("b", 1, 2.0)  # miss
-        assert shadow.infinite_cache_hit_ratio == pytest.approx(1 / 3)
+        scope = CacheScope.global_scope()
+        shadow.admit("a", scope, 0.0)
+        assert not shadow.admit("a", scope, 120.0)
 
     def test_admission_protocol_seen_before(self):
         shadow = ShadowCache()
         scope = CacheScope.global_scope()
         assert not shadow.admit("f", scope, 0.0)
         assert shadow.admit("f", scope, 1.0)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            ShadowCache().record("a", -1, 0.0)

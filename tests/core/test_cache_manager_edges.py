@@ -70,13 +70,13 @@ class TestMultiDirectory:
         for n in range(16):
             source.add_file(f"file-{n}", PAGE)
             cache.read(f"file-{n}", 0, PAGE, source)
-        used = [cache.dir_usage(0), cache.dir_usage(1)]
+        used = [cache.metastore.bytes_in_dir(0), cache.metastore.bytes_in_dir(1)]
         assert sum(used) == 16 * PAGE
         assert all(u > 0 for u in used)  # affinity hashing spreads files
         removed = cache.delete_dir(0)
         assert removed == used[0] // PAGE
-        assert cache.dir_usage(0) == 0
-        assert cache.dir_usage(1) == used[1]
+        assert cache.metastore.bytes_in_dir(0) == 0
+        assert cache.metastore.bytes_in_dir(1) == used[1]
 
     def test_per_directory_eviction_isolated(self):
         """Pressure in one directory must not evict the other's pages."""
@@ -107,7 +107,7 @@ class TestMultiDirectory:
             source.add_file(file_id, PAGE)
             cache.read(file_id, 0, PAGE, source)
         assert cache.metastore.pages_in_dir(1) == survivor_pages
-        assert cache.dir_usage(0) <= 2 * PAGE
+        assert cache.metastore.bytes_in_dir(0) <= 2 * PAGE
 
 
 class TestScopeAccounting:

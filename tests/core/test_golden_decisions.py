@@ -234,7 +234,7 @@ def step(engine: CacheEngine, clock: SimClock, rng, n_dirs: int) -> str:
         manager.quota.set_quota(target, PAGE // 2)
     else:
         for scope in (TABLE, *PARTITIONS):
-            manager.quota.clear_quota(scope)
+            manager.quota._quotas.pop(str(scope), None)
     return f"quota {kind} {target} {len(manager.quota)}"
 
 
@@ -256,7 +256,7 @@ def final_state(engine: CacheEngine, store: FaultyStore, tracer, n_dirs: int) ->
             f"dir {directory} {metastore.bytes_in_dir(directory)} "
             f"{store.bytes_used(directory)} {ids}"
         )
-    for info in metastore.all_pages():
+    for info in metastore._pages:
         lines.append(
             f"page {info.page_id} {info.size} {info.scope} {info.directory} "
             f"{info.created_at!r} {info.last_access!r} {info.access_count} {info.ttl}"

@@ -30,7 +30,7 @@ class TestBasics:
         assert s.get("a") == Item("a", 1)
         assert len(s) == 1
         assert Item("a", 1) in s
-        assert s.contains_key("a")
+        assert "a" in s.entries
 
     def test_duplicate_add_is_noop(self):
         s = make_set()
@@ -126,7 +126,7 @@ class TestIndices:
         assert s.lookup("tag", "x") == [] and s.lookup("tag", "y") == [other]
         assert s.total_weight == 5
         assert s.remove_key("b") is other
-        for name in s.index_names():
+        for name in s._indices:
             assert s.index_keys(name) == []
         assert s.total_weight == 0 and len(s) == 0
 

@@ -1,14 +1,8 @@
-"""Tests for the metrics registry and fleet aggregation."""
+"""Tests for the metrics registry and its instruments."""
 
 import pytest
 
-from repro.core.metrics import (
-    AggregatedMetrics,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.core.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.ports.rng import RngStream
 
 
@@ -51,14 +45,6 @@ class TestPrimitives:
         histogram.observe(1.0)
         with pytest.raises(ValueError):
             histogram.percentile(101)
-
-    def test_histogram_merge(self):
-        a, b = Histogram(), Histogram()
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.total == 4.0
 
 
 class TestHistogramReservoir:
@@ -124,75 +110,9 @@ class TestHistogramReservoir:
         for decile, kept in enumerate(kept_per_decile):
             assert abs(kept - expected) < 3 * sigma, (decile, kept_per_decile)
 
-    def test_observing_after_a_merge_stays_uniform(self):
-        kept_late = 0
-        for seed in range(100):
-            merged = Histogram(reservoir_cap=50, rng=RngStream(seed, "metrics/merged"))
-            other = Histogram(reservoir_cap=50, rng=RngStream(seed, "metrics/other"))
-            for v in range(250):
-                merged.observe(float(v))
-                other.observe(float(250 + v))
-            merged.merge(other)
-            for v in range(500, 1000):
-                merged.observe(float(v))
-            assert merged.count == 1000 and len(merged.values()) == 50
-            kept_late += sum(v >= 500 for v in merged.values())
-        # half the input came after the merge: half of 100 * 50 kept values
-        assert abs(kept_late - 2500) < 3 * (5000 * 0.5 * 0.5) ** 0.5
-
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             Histogram(reservoir_cap=0)
-
-    def test_merge_exact_within_cap(self):
-        a = Histogram(reservoir_cap=100)
-        b = Histogram(reservoir_cap=100)
-        for v in (1.0, 2.0):
-            a.observe(v)
-        for v in (3.0, 4.0, 5.0):
-            b.observe(v)
-        a.merge(b)
-        assert a.count == 5
-        assert a.total == 15.0
-        assert sorted(a.values()) == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert not a.sampled
-
-    def test_merge_downsamples_past_cap(self):
-        a = Histogram(reservoir_cap=50, rng=RngStream(1, "a"))
-        b = Histogram(reservoir_cap=50, rng=RngStream(1, "b"))
-        for v in range(40):
-            a.observe(float(v))
-        for v in range(40, 80):
-            b.observe(float(v))
-        a.merge(b)
-        assert a.count == 80
-        assert a.total == pytest.approx(sum(range(80)))
-        assert len(a.values()) == 50
-        assert a.sampled
-        # retained values come from the combined population
-        assert set(a.values()) <= {float(v) for v in range(80)}
-
-    def test_merge_deterministic(self):
-        def build():
-            a = Histogram(reservoir_cap=20, rng=RngStream(3, "merge"))
-            b = Histogram(reservoir_cap=20, rng=RngStream(3, "other"))
-            for v in range(30):
-                a.observe(float(v))
-                b.observe(float(v + 100))
-            a.merge(b)
-            return a.values()
-
-        assert build() == build()
-
-    def test_merge_of_sampled_histograms_keeps_exact_count(self):
-        a = Histogram(reservoir_cap=16, rng=RngStream(5, "a"))
-        b = Histogram(reservoir_cap=16, rng=RngStream(5, "b"))
-        for v in range(200):
-            a.observe(float(v))
-            b.observe(float(v))
-        a.merge(b)
-        assert a.count == 400
-        assert len(a.values()) == 16
 
     def test_exemplars_ring(self):
         histogram = Histogram()
@@ -262,27 +182,3 @@ class TestRegistry:
         registry.histogram("query_latency").observe(1.5)
         assert registry.gauge("bytes_cached").value == 100
         assert registry.histogram("query_latency").count == 1
-
-
-class TestAggregation:
-    def test_fleet_rollup(self):
-        """Thousands of per-node registries roll into one view (Section 7)."""
-        nodes = [MetricsRegistry(f"node{i}") for i in range(4)]
-        for i, node in enumerate(nodes):
-            node.counter("get_hits").inc(i + 1)
-            node.counter("get_misses").inc(1)
-            node.histogram("latency").observe(float(i))
-            node.record_error("get", "TimeoutError")
-        fleet = AggregatedMetrics(nodes)
-        assert len(fleet) == 4
-        assert fleet.counter_total("get_hits") == 10
-        assert fleet.hit_ratio == pytest.approx(10 / 14)
-        assert fleet.merged_histogram("latency").count == 4
-        assert fleet.error_breakdown()["get"]["TimeoutError"] == 4
-        assert len(fleet.per_node_hit_ratios()) == 4
-
-    def test_register_after_construction(self):
-        fleet = AggregatedMetrics()
-        fleet.register(MetricsRegistry())
-        assert len(fleet) == 1
-        assert fleet.hit_ratio == 0.0

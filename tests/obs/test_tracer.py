@@ -9,8 +9,6 @@ from repro.obs.tracer import (
     SimTracer,
     current_tracer,
     installed_tracer,
-    reset_tracer,
-    set_tracer,
 )
 from repro.ports.clock import SimClock
 from repro.ports.rng import RngStream
@@ -144,18 +142,18 @@ class TestGlobalSlot:
             assert current_tracer() is tracer
         assert current_tracer() is NOOP_TRACER
 
+    def test_set_and_reset(self):
+        """A nested install resets to the tracer it replaced."""
+        outer, inner = make_tracer(), make_tracer()
+        with installed_tracer(outer):
+            with installed_tracer(inner):
+                assert current_tracer() is inner
+            assert current_tracer() is outer
+        assert current_tracer() is NOOP_TRACER
+
     def test_installed_tracer_restores_on_error(self):
         tracer = make_tracer()
         with pytest.raises(RuntimeError):
             with installed_tracer(tracer):
                 raise RuntimeError("boom")
-        assert current_tracer() is NOOP_TRACER
-
-    def test_set_and_reset(self):
-        tracer = make_tracer()
-        set_tracer(tracer)
-        try:
-            assert current_tracer() is tracer
-        finally:
-            reset_tracer()
         assert current_tracer() is NOOP_TRACER

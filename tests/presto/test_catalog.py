@@ -3,6 +3,7 @@
 import pytest
 
 from repro.presto.catalog import Catalog, DataFile, Partition, TableDef, build_table
+from repro.presto.split import splits_for_file
 
 
 class TestDataFile:
@@ -26,7 +27,11 @@ class TestTableDef:
     def test_scope_for_partition(self):
         table = build_table("s", "t", n_partitions=1, files_per_partition=1,
                             file_size=10)
-        assert str(table.scope_for_partition("ds=0000")) == "global.s.t.ds=0000"
+        ((partition, data_file),) = table.all_files()
+        (split,) = splits_for_file(
+            data_file, schema=table.schema, table=table.name, partition=partition
+        )
+        assert str(split.scope) == "global.s.t.ds=0000"
 
     def test_file_ids_unique(self):
         table = build_table("s", "t", n_partitions=2, files_per_partition=2,
@@ -78,14 +83,6 @@ class TestMetadataCache:
         cache.put("x", 1)
         assert cache.get("x") == 1
         assert cache.hit_ratio == 0.5
-
-    def test_invalidate(self):
-        from repro.presto.metadata_cache import MetadataCache
-
-        cache = MetadataCache()
-        cache.put("k", 1)
-        assert cache.invalidate("k")
-        assert not cache.invalidate("k")
 
     def test_bad_capacity(self):
         from repro.presto.metadata_cache import MetadataCache

@@ -45,7 +45,7 @@ class TestConcurrentExecution:
         results = cluster.coordinator.run_concurrent_kernel(arrivals)
         assert [r.query_id for r in results] == ["q1", "q2", "q3"]
         assert all(r.wall_seconds > 0 for r in results)
-        assert cluster.coordinator.aggregator.query_count == 3
+        assert len(cluster.coordinator.aggregator.queries()) == 3
 
     def test_contention_raises_latency(self):
         """Back-to-back arrivals queue behind each other; widely spaced

@@ -119,7 +119,7 @@ class TestExecution:
         operator.execute(make_split(), profile, stats)
         assert stats.input_wall > 0
         assert stats.compute_wall > 0
-        assert stats.scanned_bytes > 0
+        assert stats.bytes_from_cache + stats.bytes_from_remote > 0
 
     def test_tiny_split_single_range(self):
         operator, source = make_operator()

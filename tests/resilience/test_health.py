@@ -47,7 +47,8 @@ class TestAvailability:
         __, tracker = make_tracker()
         tracker.record_failure("b")
         tracker.record_failure("b")
-        assert tracker.filter_available(["a", "b", "c"]) == ["a", "c"]
+        available = [node for node in "abc" if tracker.is_available(node)]
+        assert available == ["a", "c"]
 
 
 class TestSnapshot:

@@ -8,12 +8,13 @@ and the same observed history as the formula's accounting.
 
 import pytest
 
-from repro.errors import CircuitOpenError, RetriesExhaustedError
+from repro.errors import RemoteReadError, RetriesExhaustedError
 from repro.ports.clock import SimClock
 from repro.ports.rng import RngStream
 from repro.resilience import HedgePolicy, ResilientDataSource, RetryPolicy
 from repro.sim.kernel import Kernel, Timeout, defer_io
 from repro.storage.remote import ReadResult
+from tests.sim.replayed import source_read
 
 
 def armed_policy(baseline=0.1, n=20, **kwargs):
@@ -60,7 +61,7 @@ def race(policy, *steps):
 
     def reader():
         while source.inner.steps:
-            proc = kernel.spawn(source.read_proc("f", 0, 8))
+            proc = kernel.spawn(source_read(source, "f", 0, 8))
             procs.append(proc)
             yield proc
 
@@ -164,7 +165,7 @@ class TestApply:
         policy = armed_policy(baseline=0.1, n=100)
         procs = race(
             policy,
-            5.0, CircuitOpenError("open"),
+            5.0, RemoteReadError("down"),
             5.0, RetriesExhaustedError("done"),
             5.0, TimeoutError("slow"),
         )
@@ -182,13 +183,13 @@ class TestApply:
         (proc,) = race(policy, 5.0, KeyError("wrong replica map key"))
         assert isinstance(proc.exception, KeyError)
         assert policy.hedge_errors == 0
-        assert policy.observations == 20  # nothing served, nothing observed
+        assert len(policy._history) == 20  # nothing served, nothing observed
 
     def test_effective_latency_feeds_history(self):
         policy = armed_policy(baseline=0.1, n=5)
         threshold = policy.threshold()
-        before = policy.observations
+        before = len(policy._history)
         race_latency(policy, 10.0, 0.1)
-        assert policy.observations == before + 1
+        assert len(policy._history) == before + 1
         # the effective latency, not the primary's, joins the history
         assert last_observed(policy) == [threshold + 0.1]

@@ -1,7 +1,8 @@
 """Tests for ResilientDataSource: retry + breaker + hedging wrapper.
 
 Retry and breaker behaviour is tested on plain ``read``; the deadline and
-the hedge race need a kernel and are tested through ``read_proc``.
+the hedge race need a kernel and are tested through a replayed read
+(``tests.sim.replayed.source_read``).
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.ports.clock import SimClock
 from repro.ports.rng import RngStream
 from repro.sim.kernel import Cancelled, Kernel, Timeout, current_kernel, defer_io
 from repro.storage.remote import ReadResult, SyntheticDataSource
+from tests.sim.replayed import source_read
 
 
 class FlakySource:
@@ -126,10 +128,10 @@ class SleepingSource:
 
 
 def read_on_kernel(source):
-    """One ``read_proc`` on an idle kernel; returns (result, clock)."""
+    """One replayed read on an idle kernel; returns (result, clock)."""
     clock = SimClock()
     kernel = Kernel(clock)
-    proc = kernel.spawn(source.read_proc("f", 0, 8))
+    proc = kernel.spawn(source_read(source, "f", 0, 8))
     kernel.run()
     return proc.value, clock
 
@@ -167,7 +169,7 @@ class TestOutsideAKernel:
         hedge = HedgePolicy(min_observations=5)
         flaky = FlakySource(failures=0)
         source = make_source(flaky, hedge=hedge)
-        with pytest.raises(ValueError, match="read_proc"):
+        with pytest.raises(ValueError, match="kernel process"):
             source.read("f", 0, 8)
         assert flaky.calls == 0
 
@@ -176,7 +178,7 @@ class TestOutsideAKernel:
         source = make_source(
             flaky, policy=RetryPolicy(attempt_timeout=1.0, jitter=0.0)
         )
-        with pytest.raises(ValueError, match="read_proc"):
+        with pytest.raises(ValueError, match="kernel process"):
             source.read("f", 0, 8)
         assert flaky.calls == 0
 

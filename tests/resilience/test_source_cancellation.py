@@ -23,6 +23,7 @@ from repro.sim.kernel import Kernel, Timeout
 from repro.ports.rng import RngStream
 from repro.storage.object_store import ObjectStore, ObjectStoreProfile
 from repro.storage.remote import ObjectStoreDataSource
+from tests.sim.replayed import source_read
 
 OBJECT_BYTES = 4 * 1024 * 1024
 # 0.03 TTFB + 4 MiB / 120 MB/s  ~=  0.065s of in-flight transfer to
@@ -51,7 +52,7 @@ def run_cancel_scenario(kernel, store, source, cancel_at, probes):
 
     def reader():
         results.append(
-            (yield from source.read_proc("f", 0, OBJECT_BYTES))
+            (yield from source_read(source, "f", 0, OBJECT_BYTES))
         )
 
     reader_proc = kernel.spawn(reader())
@@ -151,7 +152,7 @@ class TestHedgeRaceCancellation:
 
         def reader():
             results.append(
-                (yield from source.read_proc("f", 0, OBJECT_BYTES))
+                (yield from source_read(source, "f", 0, OBJECT_BYTES))
             )
 
         kernel.spawn(reader())

@@ -14,6 +14,7 @@ from repro.core.engine import CacheEngine
 from repro.errors import FileNotFoundInStorageError
 from repro.ports.clock import WallClock
 from repro.service.client import AsyncCacheClient, CacheClientPool
+from repro.service.protocol import StatsRequest
 from repro.service.server import CacheServer, build_engine
 from repro.storage.remote import SyntheticDataSource
 from tests.service.rawpeer import open_raw
@@ -109,7 +110,7 @@ class TestRoundTrips:
             try:
                 await client.get("file-2", 0, PAGE)
                 stats = await client.stats()
-                prom = await client.stats_prometheus()
+                prom = (await client.request(StatsRequest(fmt=1))).payload.decode()
                 health = await client.health()
                 length = await client.file_length("file-2")
             finally:

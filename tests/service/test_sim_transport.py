@@ -4,15 +4,11 @@ import pytest
 
 from repro.core.cache_manager import LocalCacheManager
 from repro.core.config import CacheConfig
+from repro.core.engine import CacheEngine
 from repro.core.pagestore.memory import MemoryPageStore
 from repro.core.pagestore.simulated import SimulatedSsdPageStore
 from repro.ports.clock import SimClock, WallClock
-from repro.service.sim_transport import (
-    SimTransport,
-    build_sim_cache,
-    build_sim_engine,
-)
-from repro.sim.kernel import Kernel
+from repro.service.sim_transport import SimTransport, build_sim_cache
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import SyntheticDataSource
 
@@ -56,34 +52,16 @@ class TestBuildHelpers:
                 page_store=MemoryPageStore(),
             )
 
-    def test_engine_inherits_the_kernel_clock(self):
-        kernel = Kernel(SimClock())
-        engine = build_sim_engine(
-            CacheConfig.small(64 * PAGE, page_size=PAGE),
-            source=make_source(),
-            kernel=kernel,
-        )
-        assert engine.clock is kernel.clock
-
-    def test_kernel_and_foreign_clock_conflict(self):
-        kernel = Kernel(SimClock())
-        with pytest.raises(ValueError, match="disagree"):
-            build_sim_engine(
-                CacheConfig.small(64 * PAGE, page_size=PAGE),
-                kernel=kernel,
-                clock=SimClock(),
-            )
-
 
 class TestSimTransport:
     def _build(self, clients_device: bool = True):
         clock = SimClock()
-        engine = build_sim_engine(
+        engine = CacheEngine(
             CacheConfig.small(64 * PAGE, page_size=PAGE),
             source=make_source(),
             clock=clock,
-            device=(
-                StorageDevice(DeviceProfile.ssd_local(), clock)
+            page_store=(
+                SimulatedSsdPageStore(StorageDevice(DeviceProfile.ssd_local(), clock))
                 if clients_device
                 else None
             ),
@@ -91,7 +69,7 @@ class TestSimTransport:
         return SimTransport(engine)
 
     def test_wall_clock_engine_is_rejected(self):
-        engine = build_sim_engine(
+        engine = CacheEngine(
             CacheConfig.small(64 * PAGE, page_size=PAGE),
             source=make_source(),
         )

@@ -16,11 +16,12 @@ import pytest
 
 from repro.core.config import CacheConfig
 from repro.core.engine import CacheEngine
+from repro.core.pagestore.simulated import SimulatedSsdPageStore
 from repro.ports.clock import SimClock, WallClock
 from repro.ports.rng import RngStream
 from repro.service.client import AsyncCacheClient
 from repro.service.server import CacheServer
-from repro.service.sim_transport import SimTransport, build_sim_engine
+from repro.service.sim_transport import SimTransport
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.remote import NullDataSource
 from repro.workload.zipf import ZipfSampler
@@ -90,11 +91,13 @@ def real_counts(policy: str, requests) -> dict[str, int]:
 
 def sim_counts(policy: str, requests) -> dict[str, int]:
     clock = SimClock()
-    engine = build_sim_engine(
+    engine = CacheEngine(
         cache_config(policy),
         source=remote(),
         clock=clock,
-        device=StorageDevice(DeviceProfile.ssd_local(), clock),
+        page_store=SimulatedSsdPageStore(
+            StorageDevice(DeviceProfile.ssd_local(), clock)
+        ),
         rng=RngStream(42, "sim-vs-real/cache"),
     )
     outcome = SimTransport(engine).run_closed_loop(requests, clients=1)

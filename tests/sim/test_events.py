@@ -1,5 +1,5 @@
-"""Tests for the kernel's timer-callback API: ``call_at`` / ``call_after`` /
-``call_periodic`` drained by ``run_until`` / ``run_all``."""
+"""Tests for the kernel's timer-callback API: ``call_at`` / ``call_after``
+drained by ``run_until`` / ``run_all``."""
 
 import pytest
 
@@ -88,14 +88,18 @@ class TestSchedule:
     def test_len_periodic_rearm_keeps_one_live_entry(self):
         kernel = Kernel()
         fired = []
-        handle = kernel.call_periodic(
-            1.0, lambda: fired.append(kernel.clock.now())
-        )
+        handles = []
+
+        def fire():
+            fired.append(kernel.clock.now())
+            handles.append(kernel.call_after(1.0, fire))
+
+        handles.append(kernel.call_after(1.0, fire))
         assert len(kernel) == 1
         for deadline in (1.0, 2.0, 3.0):
             kernel.run_until(deadline)
             assert len(kernel) == 1  # the re-armed entry is live again
-        handle.cancel()
+        handles[-1].cancel()
         assert len(kernel) == 0
         kernel.run_until(10.0)
         assert fired == [1.0, 2.0, 3.0]
@@ -110,54 +114,19 @@ class TestSchedule:
             fired.append(kernel.clock.now())
             handle.cancel()
 
-        handle = kernel.call_periodic(1.0, cb)
+        handle = kernel.call_after(1.0, cb)
         kernel.run_until(5.0)
         assert fired == [1.0]
         assert len(kernel) == 0
 
 
-class TestPeriodic:
-    def test_fires_every_interval(self):
-        kernel = Kernel()
-        hits = []
-        kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()))
-        kernel.run_until(35.0)
-        assert hits == [10.0, 20.0, 30.0]
+def rearm_every(kernel: Kernel, interval: float) -> None:
+    """A timer that re-arms itself forever: a runaway loop."""
 
-    def test_explicit_start(self):
-        kernel = Kernel()
-        hits = []
-        kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()), start=5.0)
-        kernel.run_until(30.0)
-        assert hits == [5.0, 15.0, 25.0]
+    def fire() -> None:
+        kernel.call_after(interval, fire)
 
-    def test_cancel_stops_future_firings(self):
-        kernel = Kernel()
-        hits = []
-        handle = kernel.call_periodic(10.0, lambda: hits.append(kernel.clock.now()))
-        kernel.run_until(25.0)
-        handle.cancel()
-        kernel.run_until(100.0)
-        assert hits == [10.0, 20.0]
-
-    def test_nonpositive_interval_rejected(self):
-        kernel = Kernel()
-        with pytest.raises(ValueError):
-            kernel.call_periodic(0.0, lambda: None)
-
-    def test_callback_may_cancel_itself(self):
-        kernel = Kernel()
-        hits = []
-        handle = None
-
-        def fire():
-            hits.append(kernel.clock.now())
-            if len(hits) == 2:
-                handle.cancel()
-
-        handle = kernel.call_periodic(1.0, fire)
-        kernel.run_until(10.0)
-        assert hits == [1.0, 2.0]
+    kernel.call_after(interval, fire)
 
 
 class TestRunAll:
@@ -171,6 +140,6 @@ class TestRunAll:
 
     def test_runaway_loop_detected(self):
         kernel = Kernel()
-        kernel.call_periodic(1.0, lambda: None)
+        rearm_every(kernel, 1.0)
         with pytest.raises(RuntimeError):
             kernel.run_all(max_events=100)

@@ -3,19 +3,7 @@
 import pytest
 
 from repro.sim import hostclock
-from repro.sim.hostclock import (
-    host_cpu_now,
-    host_perf_now,
-    installed_host_clock,
-    reset_host_clock,
-    set_host_clock,
-)
-
-
-@pytest.fixture(autouse=True)
-def _restore_real_sources():
-    yield
-    reset_host_clock()
+from repro.sim.hostclock import host_cpu_now, host_perf_now, installed_host_clock
 
 
 class TestRealSources:
@@ -35,20 +23,22 @@ class TestRealSources:
 
 
 class TestSetAndReset:
+    """``installed_host_clock`` sets either source and resets both on exit."""
+
     def test_set_host_clock_replaces_sources(self):
-        set_host_clock(perf=lambda: 11.0, cpu=lambda: 22.0)
-        assert host_perf_now() == 11.0
-        assert host_cpu_now() == 22.0
+        with installed_host_clock(perf=lambda: 11.0, cpu=lambda: 22.0):
+            assert host_perf_now() == 11.0
+            assert host_cpu_now() == 22.0
 
     def test_set_host_clock_partial(self):
-        set_host_clock(cpu=lambda: 5.0)
-        assert host_cpu_now() == 5.0
-        # perf source untouched: still the real clock, strictly positive
-        assert host_perf_now() > 0.0
+        with installed_host_clock(cpu=lambda: 5.0):
+            assert host_cpu_now() == 5.0
+            # perf source untouched: still the real clock, strictly positive
+            assert host_perf_now() > 0.0
 
     def test_reset_restores_real_clock(self):
-        set_host_clock(perf=lambda: -1.0, cpu=lambda: -1.0)
-        reset_host_clock()
+        with installed_host_clock(perf=lambda: -1.0, cpu=lambda: -1.0):
+            pass
         assert host_perf_now() > 0.0
         assert host_cpu_now() >= 0.0
 

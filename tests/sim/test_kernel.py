@@ -34,6 +34,7 @@ from repro.sim.sanitizer import DeterminismHarness
 from repro.storage.device import DeviceProfile, StorageDevice
 from repro.storage.object_store import ObjectStore, ObjectStoreProfile
 from repro.storage.remote import ObjectStoreDataSource
+from tests.sim.replayed import device_read, source_read
 
 
 def make_kernel():
@@ -161,7 +162,7 @@ class TestCancellation:
         ).attach_kernel(kernel)
 
         def reader():
-            yield from device.read_proc(1_000_000)  # 1.0s of service
+            yield from device_read(device, 1_000_000)  # 1.0s of service
 
         victim = kernel.spawn(reader())
         kernel.run_until(0.25)
@@ -174,7 +175,7 @@ class TestCancellation:
         latencies = []
 
         def second():
-            latencies.append((yield from device.read_proc(1000)))
+            latencies.append((yield from device_read(device, 1000)))
 
         kernel.spawn(second())
         kernel.run()
@@ -206,7 +207,7 @@ class TestHedgeLoserCancellation:
         results = []
 
         def reader():
-            result = yield from source.read_proc("f", 0, 4 * 1024 * 1024)
+            result = yield from source_read(source, "f", 0, 4 * 1024 * 1024)
             results.append(result)
 
         kernel.spawn(reader())
@@ -225,13 +226,13 @@ class TestHedgeLoserCancellation:
         results = []
 
         def reader():
-            results.append((yield from source.read_proc("f", 0, 1024)))
+            results.append((yield from source_read(source, "f", 0, 1024)))
 
         kernel.spawn(reader())
         kernel.run()
         assert hedge.hedged_requests == 0
         assert hedge.wasted_bytes == 0
-        assert hedge.observations == 1
+        assert len(hedge._history) == 1
 
 
 class TestLenLiveCounter:
@@ -323,7 +324,11 @@ class TestLenLiveCounter:
 
     def test_event_budget_still_raises(self):
         kernel, __ = make_kernel()
-        kernel.call_periodic(1.0, lambda: None)
+
+        def fire():
+            kernel.call_after(1.0, fire)
+
+        kernel.call_after(1.0, fire)
         with pytest.raises(KernelError):
             kernel.run_all(max_events=100)
         assert kernel.events_fired == 100
@@ -436,7 +441,7 @@ class TestKernelChaosSoakDeterminism:
 
             def reader(name, index):
                 try:
-                    result = yield from source.read_proc(name, 0, 256 * 1024)
+                    result = yield from source_read(source, name, 0, 256 * 1024)
                 except RemoteReadError:
                     trace.record("exhausted", clock.now(), name)
                     return
@@ -479,7 +484,7 @@ class TestAttributionReconciliation:
 
         def reader(index):
             with tracer.span("root_read", actor=f"r{index}"):
-                yield from device.read_proc(2 * 1024 * 1024)
+                yield from device_read(device, 2 * 1024 * 1024)
 
         with installed_tracer(tracer):
             for index in range(6):

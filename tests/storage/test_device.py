@@ -7,6 +7,7 @@ from repro.core.metrics import MetricsRegistry
 from repro.ports.clock import SimClock
 from repro.sim.kernel import Kernel
 from repro.storage.device import DeviceProfile, StorageDevice
+from tests.sim.replayed import device_read
 
 
 def hdd(clock=None, **kwargs):
@@ -28,11 +29,11 @@ def on_kernel(device):
 
 
 def read_at(kernel, device, size, latencies, when=0.0):
-    """Spawn a ``read_proc`` at ``when``; its measured latency is appended
+    """Spawn a replayed read at ``when``; its measured latency is appended
     to ``latencies`` on completion."""
 
     def reader():
-        latencies.append((yield from device.read_proc(size)))
+        latencies.append((yield from device_read(device, size)))
 
     kernel.spawn_at(when, reader())
 
@@ -198,7 +199,7 @@ class TestQueueing:
         assert first.wait == 0.0
         assert second.wait == pytest.approx(1.01)
         assert second.latency == pytest.approx(second.wait + second.service)
-        assert second.completion == pytest.approx(2.02)
+        assert second.arrival + second.latency == pytest.approx(2.02)
 
     def test_keep_records_false(self):
         profile = DeviceProfile("x", read_bandwidth=1e6, write_bandwidth=1e6,

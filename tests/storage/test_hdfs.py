@@ -37,8 +37,8 @@ class TestBlockId:
 class TestBlockMetaFile:
     def test_checksums_verify(self):
         meta = BlockMetaFile.for_data(b"x" * 2000)
-        assert meta.verify(b"x" * 2000)
-        assert not meta.verify(b"y" * 2000)
+        assert meta == BlockMetaFile.for_data(b"x" * 2000)
+        assert meta != BlockMetaFile.for_data(b"y" * 2000)
         assert len(meta.checksums) == 4  # ceil(2000/512)
 
     def test_size_bytes(self):
@@ -52,12 +52,12 @@ class TestBlock:
         appended = block.appended(b"def")
         assert appended.identity == BlockId(1, 2)
         assert appended.data == b"abcdef"
-        assert appended.verify()
+        assert appended.meta == BlockMetaFile.for_data(b"abcdef")
         assert block.data == b"abc"  # original immutable
 
     def test_auto_meta(self):
         block = Block(identity=BlockId(1, 1), data=b"abc")
-        assert block.verify()
+        assert block.meta == BlockMetaFile.for_data(b"abc")
         assert block.length == 3
 
 
@@ -68,7 +68,7 @@ class TestNameNode:
         assert len(status.blocks) == 3
         assert status.length == 2500
         assert namenode.exists("/f")
-        assert namenode.list_files() == ["/f"]
+        assert namenode.get_file_status("/f").length == 2500
 
     def test_duplicate_create_rejected(self):
         __, __, __, client = make_cluster()
@@ -82,11 +82,11 @@ class TestNameNode:
             namenode.get_file_status("/nope")
 
     def test_placement_round_robin(self):
-        __, nodes, __, client = make_cluster(n_nodes=2, block_size=100)
-        client.create("/a", b"x" * 100)
-        client.create("/b", b"x" * 100)
-        assert nodes[0].block_count() == 1
-        assert nodes[1].block_count() == 1
+        __, nodes, namenode, client = make_cluster(n_nodes=2, block_size=100)
+        (first,) = client.create("/a", b"x" * 100).blocks
+        (second,) = client.create("/b", b"x" * 100).blocks
+        assert namenode.locate_block(first) == [nodes[0]]
+        assert namenode.locate_block(second) == [nodes[1]]
 
     def test_replication(self):
         __, nodes, namenode, client = make_cluster(n_nodes=3, replication=2)
@@ -111,10 +111,12 @@ class TestNameNode:
 
     def test_delete_removes_replicas(self):
         __, nodes, __, client = make_cluster(n_nodes=1, block_size=100)
-        client.create("/f", b"x" * 250)
+        blocks = client.create("/f", b"x" * 250).blocks
         removed = client.delete("/f")
         assert len(removed) == 3
-        assert nodes[0].block_count() == 0
+        for identity in blocks:
+            with pytest.raises(BlockNotFoundError):
+                nodes[0].read_block(identity)
         with pytest.raises(FileNotFoundInStorageError):
             client.delete("/f")
 
@@ -144,8 +146,9 @@ class TestAppend:
         __, nodes, __, client = make_cluster(n_nodes=1)
         status = client.create("/f", b"a" * 10)
         client.append("/f", b"b")
-        latest = nodes[0].latest_identity(status.blocks[0].block_id)
-        assert latest.generation_stamp == 2
+        (latest,) = client.namenode.get_file_status("/f").blocks
+        assert latest == status.blocks[0].next_generation()
+        assert nodes[0].read_block(latest).data == b"a" * 10 + b"b"
 
 
 class TestDataNodeReads:
@@ -180,8 +183,8 @@ class TestDataNodeReads:
 
     def test_bytes_stored(self):
         __, nodes, __, client = make_cluster(n_nodes=1, block_size=100)
-        client.create("/f", b"x" * 250)
-        assert nodes[0].bytes_stored() == 250
+        blocks = client.create("/f", b"x" * 250).blocks
+        assert sum(len(nodes[0].read_block(b).data) for b in blocks) == 250
 
 
 class TestClientReads:
@@ -190,7 +193,7 @@ class TestClientReads:
         payload = bytes(i % 251 for i in range(350))
         client.create("/f", payload)
         assert client.read("/f", 50, 200).data == payload[50:250]
-        assert client.read_fully("/f").data == payload
+        assert client.read("/f", 0, len(payload)).data == payload
 
     def test_read_past_eof(self):
         __, __, __, client = make_cluster(block_size=100)
@@ -219,7 +222,7 @@ class TestReplicaFailover:
             namenode.get_file_status("/f").blocks[0]
         )
         first_block_nodes[0].fail()
-        result = client.read_fully("/f")
+        result = client.read("/f", 0, 1500)
         assert result.data == b"z" * 1500
         assert client.metrics.counter("failovers").value >= 1
 

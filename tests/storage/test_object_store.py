@@ -35,15 +35,6 @@ class TestNamespace:
         with pytest.raises(FileNotFoundInStorageError):
             ObjectStore().object_length("nope")
 
-    def test_delete_and_list(self):
-        store = ObjectStore()
-        store.put_object("b", b"1")
-        store.put_object("a", b"2")
-        assert store.list_objects() == ["a", "b"]
-        assert store.delete_object("a")
-        assert not store.delete_object("a")
-        assert store.list_objects() == ["b"]
-
 
 class TestLatencyModel:
     def test_latency_formula(self):
@@ -75,8 +66,8 @@ class TestLatencyModel:
             ObjectStoreProfile(**kwargs)
 
     def test_presets(self):
-        assert ObjectStoreProfile.s3_like().base_latency > \
-            ObjectStoreProfile.hdfs_remote().base_latency
+        # the default envelope is the cloud object store's
+        assert ObjectStoreProfile.s3_like() == ObjectStoreProfile()
 
 
 class TestThrottling:

@@ -1,19 +1,24 @@
-"""Run the library's docstring examples as tests."""
+"""Run the library's docstring examples as tests.
+
+Every ``src/repro`` module whose source holds a ``>>>`` prompt is
+collected, so a new example runs without being listed here.
+"""
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
-MODULE_NAMES = [
-    "repro.ports.clock",
-    "repro.ports.rng",
-    "repro.sim.kernel",
-    "repro.core.indexed_set",
-    "repro.core.admission.rate_limiter",
-    "repro.core.admission.shadow",
-    "repro.analysis.report",
-]
+from repro.devtools.graph import module_name_for
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MODULE_NAMES = sorted(
+    module_name_for(path.relative_to(ROOT).as_posix())
+    for path in (ROOT / "src" / "repro").rglob("*.py")
+    if ">>>" in path.read_text(encoding="utf-8")
+)
 
 
 @pytest.mark.parametrize("module_name", MODULE_NAMES)

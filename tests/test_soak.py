@@ -79,7 +79,7 @@ class TestPrestoSoak:
             assert worker.cache is not None
             assert worker.cache.bytes_used <= worker.cache.capacity_bytes
             assert worker.cache.bytes_used == worker.cache.page_store.bytes_used(0)
-        assert cluster.coordinator.aggregator.query_count == 3 * 40 + 3
+        assert len(cluster.coordinator.aggregator.queries()) == 3 * 40 + 3
         assert cluster.coordinator.cluster_hit_ratio() > 0.3
 
 
@@ -137,7 +137,7 @@ class TestDataNodeSoak:
         assert cached.cache.bytes_used <= cached.cache.capacity_bytes
         assert cached.cache.bytes_used == cached.cache.page_store.bytes_used(0)
         assert cached.total_bytes > 0
-        assert cached.cache_hit_bytes > 0
+        assert sum(cached.traffic_rates(60.0)[0].values()) > 0
 
 
 class TestQuotaSoak:

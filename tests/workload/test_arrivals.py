@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ports.rng import RngStream
-from repro.workload.arrivals import (
-    bursty_arrivals,
-    diurnal_arrivals,
-    poisson_arrivals,
-)
+from repro.workload.arrivals import bursty_arrivals, poisson_arrivals
 
 
 class TestPoisson:
@@ -48,11 +44,6 @@ class TestSeededDeterminism:
     and diverges under a different seed -- the property the churn soak's
     double-run determinism gate rests on."""
 
-    def test_diurnal_deterministic(self):
-        a = diurnal_arrivals(2.0, 8.0, 5000.0, RngStream(11, "d"))
-        b = diurnal_arrivals(2.0, 8.0, 5000.0, RngStream(11, "d"))
-        assert (a == b).all()
-
     def test_bursty_deterministic(self):
         a = bursty_arrivals(1.0, 10.0, 5000.0, RngStream(12, "b"))
         b = bursty_arrivals(1.0, 10.0, 5000.0, RngStream(12, "b"))
@@ -60,9 +51,8 @@ class TestSeededDeterminism:
 
     @pytest.mark.parametrize("make", [
         lambda seed: poisson_arrivals(3.0, 2000.0, RngStream(seed, "p")),
-        lambda seed: diurnal_arrivals(2.0, 8.0, 2000.0, RngStream(seed, "d")),
         lambda seed: bursty_arrivals(1.0, 10.0, 2000.0, RngStream(seed, "b")),
-    ], ids=["poisson", "diurnal", "bursty"])
+    ], ids=["poisson", "bursty"])
     def test_different_seed_diverges(self, make):
         a = make(21)
         c = make(22)
@@ -71,24 +61,14 @@ class TestSeededDeterminism:
 
 class TestRateEnvelopes:
     """Long-horizon empirical rates stay inside the configured envelope:
-    a Poisson process at its rate, modulated processes strictly between
-    their trough and peak rates."""
+    a Poisson process at its rate, a modulated process strictly between
+    its quiet and burst rates."""
 
     HORIZON = 50_000.0
 
     def test_poisson_rate_envelope(self):
         times = poisson_arrivals(4.0, self.HORIZON, RngStream(31, "p"))
         assert times.size / self.HORIZON == pytest.approx(4.0, rel=0.05)
-
-    def test_diurnal_rate_envelope(self):
-        base, peak = 1.0, 9.0
-        times = diurnal_arrivals(
-            base, peak, self.HORIZON, RngStream(32, "d")
-        )
-        mean_rate = times.size / self.HORIZON
-        assert base < mean_rate < peak
-        # thinning targets the sinusoid's mean rate
-        assert mean_rate == pytest.approx((base + peak) / 2, rel=0.1)
 
     def test_bursty_rate_envelope(self):
         quiet, burst = 1.0, 10.0
@@ -104,32 +84,6 @@ class TestRateEnvelopes:
             mean_quiet + mean_burst
         )
         assert mean_rate == pytest.approx(expected, rel=0.15)
-
-
-class TestDiurnal:
-    def test_mean_rate_between_base_and_peak(self):
-        times = diurnal_arrivals(2.0, 10.0, 86_400.0, RngStream(4, "d"))
-        mean_rate = times.size / 86_400.0
-        assert 2.0 < mean_rate < 10.0
-        assert mean_rate == pytest.approx(6.0, rel=0.1)
-
-    def test_midday_busier_than_midnight(self):
-        times = diurnal_arrivals(1.0, 20.0, 86_400.0, RngStream(5, "d"))
-        night = np.sum(times < 3 * 3600)  # trough is at t=0
-        midday = np.sum((times >= 39_600) & (times < 50_400))  # around t=12h
-        assert midday > 3 * night
-
-    def test_sorted_within_horizon(self):
-        times = diurnal_arrivals(1.0, 6.0, 10_000.0, RngStream(8, "d"))
-        assert (np.diff(times) >= 0).all()
-        assert times.min() >= 0
-        assert times.max() < 10_000.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            diurnal_arrivals(5.0, 2.0, 100.0, RngStream(1, "d"))
-        with pytest.raises(ValueError):
-            diurnal_arrivals(1.0, 2.0, 100.0, RngStream(1, "d"), period=0)
 
 
 class TestBursty:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ports.rng import RngStream
-from repro.workload.fragments import (
-    KIB,
-    MIB,
-    FragmentedReadGenerator,
-    read_size_cdf,
-)
+from repro.workload.fragments import KIB, MIB, FragmentedReadGenerator
 
 
 class TestSizes:
@@ -17,9 +12,8 @@ class TestSizes:
         """>50% of reads below 10 KB; >=90% at or below ~1 MB."""
         generator = FragmentedReadGenerator(RngStream(1, "frag"))
         sizes = generator.sizes(100_000)
-        cdf = read_size_cdf(sizes, [10 * KIB, 1 * MIB])
-        assert cdf[10 * KIB] > 0.5
-        assert cdf[1 * MIB] >= 0.85
+        assert (sizes <= 10 * KIB).mean() > 0.5
+        assert (sizes <= 1 * MIB).mean() >= 0.85
 
     def test_bounds(self):
         generator = FragmentedReadGenerator(RngStream(1, "frag"))
@@ -62,13 +56,3 @@ class TestRequests:
         generator = FragmentedReadGenerator(RngStream(1, "frag"))
         with pytest.raises(ValueError):
             generator.requests(10, [], file_length=100)
-
-
-class TestCdfHelper:
-    def test_empty(self):
-        assert read_size_cdf(np.array([]), [10]) == {10: 0.0}
-
-    def test_values(self):
-        cdf = read_size_cdf(np.array([1, 5, 10, 100]), [5, 10])
-        assert cdf[5] == 0.5
-        assert cdf[10] == 0.75

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.workload.tpcds import (
-    build_tpcds_catalog,
     build_tpcds_catalog_fast,
     tpcds_queries,
 )
@@ -30,13 +29,6 @@ class TestCatalog:
         for table in catalog.tables():
             for __, data_file in table.all_files():
                 assert source.file_length(data_file.file_id) == data_file.size
-
-    def test_synthetic_variant_generates_content(self):
-        catalog, source = build_tpcds_catalog(16 * MIB)
-        file_id = catalog.table("tpcds.date_dim").all_files()[0][1].file_id
-        data = source.read(file_id, 0, 64).data
-        assert len(data) == 64
-        assert data != b"\x00" * 64
 
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):

@@ -31,18 +31,13 @@ class TestZipfSampler:
         b = ZipfSampler(100, 1.0, RngStream(7, "z")).sample(100)
         assert (a == b).all()
 
-    def test_expected_share_of_top(self):
-        sampler = ZipfSampler(1000, 1.39, RngStream(1, "z"))
-        assert sampler.expected_share_of_top(0) == 0.0
-        assert sampler.expected_share_of_top(1000) == pytest.approx(1.0)
-        assert sampler.expected_share_of_top(5000) == pytest.approx(1.0)
-        assert 0 < sampler.expected_share_of_top(10) < 1
-
     def test_empirical_share_matches_expected(self):
         sampler = ZipfSampler(500, 1.2, RngStream(3, "z"))
         samples = sampler.sample(200_000)
         empirical = (samples < 50).mean()
-        assert empirical == pytest.approx(sampler.expected_share_of_top(50), abs=0.02)
+        weights = 1.0 / np.arange(1, 501) ** 1.2
+        expected = weights[:50].sum() / weights.sum()
+        assert empirical == pytest.approx(expected, abs=0.02)
 
     def test_validation(self):
         rng = RngStream(1, "z")
